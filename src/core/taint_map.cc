@@ -8,68 +8,152 @@
 namespace shift
 {
 
-void
-TaintMap::setBit(uint64_t addr, bool value)
+namespace
 {
-    uint64_t tagAddr = tagByteAddr(addr, granularity_);
-    unsigned bitIdx = tagBitIndex(addr, granularity_);
-    uint64_t byte = 0;
-    MemFault fault = mem_->read(tagAddr, 1, byte);
-    SHIFT_ASSERT(fault == MemFault::None);
-    byte = insertBit(byte, bitIdx, value);
-    fault = mem_->write(tagAddr, 1, byte);
-    SHIFT_ASSERT(fault == MemFault::None);
-    if (mirror_)
-        mirror_(tagAddr, bitIdx, value);
+
+constexpr uint64_t kLineBytes = 1ULL << TaintSummary::kLineShift;
+constexpr uint64_t kTagPageBytes = 1ULL << TaintSummary::kPageShift;
+
+/** The bits of tag byte t that fall inside tag-bit range [b0, b1]. */
+uint8_t
+bitMask(uint64_t t, uint64_t b0, uint64_t b1)
+{
+    unsigned lo = t == b0 >> 3 ? unsigned(b0 & 7) : 0;
+    unsigned hi = t == b1 >> 3 ? unsigned(b1 & 7) : 7;
+    return static_cast<uint8_t>((0xFFu >> (7 - hi)) & (0xFFu << lo));
+}
+
+/**
+ * Call fn(t0, t1) on each maximal span of tag bytes of bits [b0, b1]
+ * that lies in dirty summary lines, in address order. Those are the
+ * only bytes that can be nonzero: an absent tag page is skipped in one
+ * step, and so is a clean 64-byte line.
+ */
+template <typename Fn>
+void
+forEachDirtySpan(const TaintSummary &summary, uint64_t b0, uint64_t b1,
+                 Fn &&fn)
+{
+    uint64_t last = b1 >> 3;
+    for (uint64_t t = b0 >> 3; t <= last;) {
+        if (!summary.pageDirty(t)) {
+            t = (t | (kTagPageBytes - 1)) + 1;
+            continue;
+        }
+        if (!summary.lineDirty(t)) {
+            t = (t | (kLineBytes - 1)) + 1;
+            continue;
+        }
+        uint64_t from = t;
+        while (t <= last && summary.lineDirty(t))
+            t = (t | (kLineBytes - 1)) + 1;
+        fn(from, std::min(t - 1, last));
+    }
+}
+
+} // namespace
+
+template <typename Fn>
+void
+TaintMap::forEachRun(uint64_t addr, uint64_t len, Fn &&fn) const
+{
+    // Within one 2^kImplementedBits-aligned block of data addresses,
+    // tagByteAddr() is linear (it only drops the unimplemented hole),
+    // so consecutive units own consecutive bitmap bits. A range inside
+    // one region is one run.
+    uint64_t end = addr + len;
+    if (len == 0 || end < addr)
+        return;
+    unsigned shift = granularityShift(granularity_);
+    uint64_t blockUnits = 1ULL << (kImplementedBits - shift);
+    uint64_t last = (end - 1) >> shift;
+    for (uint64_t g = addr >> shift;;) {
+        uint64_t stop = std::min(last, g | (blockUnits - 1));
+        uint64_t b0 = tagByteAddr(g << shift, granularity_) * 8 + (g & 7);
+        fn(b0, b0 + (stop - g), g);
+        if (stop == last)
+            return;
+        g = stop + 1;
+    }
+}
+
+template <typename Fn>
+void
+TaintMap::scanDirty(uint64_t addr, uint64_t len, Fn &&fn) const
+{
+    const TaintSummary &summary = mem_->taintSummary();
+    forEachRun(addr, len, [&](uint64_t b0, uint64_t b1, uint64_t g0) {
+        forEachDirtySpan(summary, b0, b1, [&](uint64_t t0, uint64_t t1) {
+            uint64_t t = t0;
+            MemFault fault = mem_->readChunks(
+                t0, t1 - t0 + 1, [&](const uint8_t *p, uint64_t n) {
+                    for (uint64_t i = 0; i < n; ++i, ++t) {
+                        uint8_t bits = p[i] & bitMask(t, b0, b1);
+                        if (bits)
+                            fn(g0 + (t * 8 - b0), bits);
+                    }
+                });
+            SHIFT_ASSERT(fault == MemFault::None);
+        });
+    });
+}
+
+void
+TaintMap::writeBits(uint64_t b0, uint64_t b1, bool value)
+{
+    // Read-modify-write only the partial edge bytes; every whole byte
+    // between them is one page-wise fill.
+    uint64_t t0 = b0 >> 3;
+    uint64_t t1 = b1 >> 3;
+    auto rmw = [&](uint64_t t) {
+        uint64_t byte = 0;
+        MemFault fault = mem_->read(t, 1, byte);
+        SHIFT_ASSERT(fault == MemFault::None);
+        uint8_t mask = bitMask(t, b0, b1);
+        fault = mem_->write(t, 1, value ? (byte | mask) : (byte & ~mask));
+        SHIFT_ASSERT(fault == MemFault::None);
+    };
+    uint64_t fillFrom = t0;
+    uint64_t fillTo = t1 + 1;
+    if (bitMask(t0, b0, b1) != 0xFF) {
+        rmw(t0);
+        ++fillFrom;
+    }
+    if (t1 >= fillFrom && bitMask(t1, b0, b1) != 0xFF) {
+        rmw(t1);
+        --fillTo;
+    }
+    if (fillFrom < fillTo) {
+        MemFault fault =
+            mem_->fillBytes(fillFrom, value ? 0xFF : 0, fillTo - fillFrom);
+        SHIFT_ASSERT(fault == MemFault::None);
+    }
 }
 
 void
 TaintMap::setRange(uint64_t addr, uint64_t len, bool value)
 {
-    // Eight tracking units share a tag byte, so a range write touches
-    // each tag byte once (and skips the read-modify-write entirely when
-    // the range covers all eight bits) instead of doing a full memory
-    // round-trip per unit. Server workloads clear taint on every I/O
-    // buffer, which made the per-unit loop the hottest host function.
-    unsigned shift = granularityShift(granularity_);
-    uint64_t unit = 1ULL << shift;
-    // Walk aligned units so an unaligned range still covers the unit
-    // holding its last byte.
-    uint64_t a = addr & ~(unit - 1);
-    uint64_t end = addr + len;
-    if (a >= end)
-        return;
-    uint64_t lastGranule = (end - 1) >> shift;
-    for (uint64_t g = a >> shift; g <= lastGranule;) {
-        uint64_t tagAddr = tagByteAddr(g << shift, granularity_);
-        unsigned lo = static_cast<unsigned>(g & 7);
-        unsigned count = static_cast<unsigned>(
-            std::min<uint64_t>(8 - lo, lastGranule - g + 1));
-        uint8_t mask = static_cast<uint8_t>(lowMask(count) << lo);
-        if (!value && !mirror_ &&
-            !mem_->taintSummary().lineDirty(tagAddr)) {
-            // A clean summary line proves the tag byte is zero, so
-            // this clear would write back the zero it read: skip the
-            // round-trip. Only without a mirror — the mirror contract
-            // is "fires for every bit written", and the async tier's
-            // shadow maintenance relies on it.
-            g += count;
-            continue;
+    forEachRun(addr, len, [&](uint64_t b0, uint64_t b1, uint64_t) {
+        if (value) {
+            writeBits(b0, b1, true);
+        } else {
+            // A clean summary line proves its tag bytes are already
+            // zero, so a clear only writes the dirty spans.
+            forEachDirtySpan(mem_->taintSummary(), b0, b1,
+                             [&](uint64_t t0, uint64_t t1) {
+                                 writeBits(std::max(b0, t0 * 8),
+                                           std::min(b1, t1 * 8 + 7),
+                                           false);
+                             });
         }
-        uint64_t byte = 0;
-        if (mask != 0xFF) {
-            MemFault fault = mem_->read(tagAddr, 1, byte);
-            SHIFT_ASSERT(fault == MemFault::None);
-        }
-        byte = value ? (byte | mask) : (byte & ~mask);
-        MemFault fault = mem_->write(tagAddr, 1, byte);
-        SHIFT_ASSERT(fault == MemFault::None);
+        // The mirror still sees every bit of the range, clean lines
+        // included: it keeps its own copy of the bitmap and does not
+        // consult the summary.
         if (mirror_) {
-            for (unsigned b = 0; b < count; ++b)
-                mirror_(tagAddr, lo + b, value);
+            for (uint64_t b = b0; b <= b1; ++b)
+                mirror_(b >> 3, unsigned(b & 7), value);
         }
-        g += count;
-    }
+    });
 }
 
 void
@@ -98,101 +182,39 @@ TaintMap::isTainted(uint64_t addr) const
 bool
 TaintMap::anyTainted(uint64_t addr, uint64_t len) const
 {
-    // Same tag-byte batching as setRange: one read covers eight units.
-    // The taint summary's contract (a clean line proves the bitmap
-    // bytes under it are zero) additionally lets whole tag bytes be
-    // skipped without touching memory — the common case for server
-    // buffers that never held tainted data.
-    const TaintSummary &summary = mem_->taintSummary();
-    unsigned shift = granularityShift(granularity_);
-    uint64_t unit = 1ULL << shift;
-    uint64_t a = addr & ~(unit - 1);
-    uint64_t end = addr + len;
-    if (a >= end)
-        return false;
-    uint64_t lastGranule = (end - 1) >> shift;
-    for (uint64_t g = a >> shift; g <= lastGranule;) {
-        uint64_t tagAddr = tagByteAddr(g << shift, granularity_);
-        unsigned lo = static_cast<unsigned>(g & 7);
-        unsigned count = static_cast<unsigned>(
-            std::min<uint64_t>(8 - lo, lastGranule - g + 1));
-        if (summary.lineDirty(tagAddr)) {
-            uint64_t byte = 0;
-            MemFault fault = mem_->read(tagAddr, 1, byte);
-            SHIFT_ASSERT(fault == MemFault::None);
-            if (byte & (lowMask(count) << lo))
-                return true;
-        }
-        g += count;
-    }
-    return false;
+    bool any = false;
+    scanDirty(addr, len, [&](uint64_t, uint8_t) { any = true; });
+    return any;
 }
 
 std::vector<bool>
 TaintMap::taintOf(uint64_t addr, uint64_t len) const
 {
-    // Policy checks read whole strings through this. Walk tag bytes
-    // (eight units each) rather than data bytes, skip tag bytes whose
-    // summary line is clean (the vector is zero-initialized), and only
-    // expand a tag byte into per-unit bits when it is nonzero.
+    // Expand each tainted unit into the data bytes it covers, clipped
+    // to [addr, addr+len); clean stretches stay at the vector's zeros.
     std::vector<bool> out(len);
-    if (len == 0)
-        return out;
-    const TaintSummary &summary = mem_->taintSummary();
     unsigned shift = granularityShift(granularity_);
-    uint64_t lastGranule = (addr + len - 1) >> shift;
-    for (uint64_t g = addr >> shift; g <= lastGranule;) {
-        uint64_t tagAddr = tagByteAddr(g << shift, granularity_);
-        unsigned lo = static_cast<unsigned>(g & 7);
-        unsigned count = static_cast<unsigned>(
-            std::min<uint64_t>(8 - lo, lastGranule - g + 1));
-        if (summary.lineDirty(tagAddr)) {
-            uint64_t byte = 0;
-            MemFault fault = mem_->read(tagAddr, 1, byte);
-            SHIFT_ASSERT(fault == MemFault::None);
-            if (byte & (lowMask(count) << lo)) {
-                // Unit g covers data bytes [g<<shift, (g+1)<<shift);
-                // mark the slice of them inside [addr, addr+len).
-                for (unsigned b = 0; b < count; ++b) {
-                    if (!bit(byte, lo + b))
-                        continue;
-                    uint64_t unitBase = (g + b) << shift;
-                    uint64_t from = std::max(unitBase, addr);
-                    uint64_t to = std::min<uint64_t>(
-                        unitBase + (uint64_t(1) << shift), addr + len);
-                    for (uint64_t v = from; v < to; ++v)
-                        out[v - addr] = true;
-                }
-            }
+    uint64_t end = addr + len;
+    scanDirty(addr, len, [&](uint64_t g, uint8_t bits) {
+        for (; bits; bits >>= 1, ++g) {
+            if (!(bits & 1))
+                continue;
+            uint64_t from = std::max(g << shift, addr);
+            uint64_t to = std::min((g + 1) << shift, end);
+            for (uint64_t v = from; v < to; ++v)
+                out[v - addr] = true;
         }
-        g += count;
-    }
+    });
     return out;
 }
 
 uint64_t
 TaintMap::countTainted(uint64_t addr, uint64_t len) const
 {
-    unsigned shift = granularityShift(granularity_);
-    uint64_t unit = 1ULL << shift;
     uint64_t count = 0;
-    uint64_t a = addr & ~(unit - 1);
-    uint64_t end = addr + len;
-    if (a >= end)
-        return 0;
-    uint64_t lastGranule = (end - 1) >> shift;
-    for (uint64_t g = a >> shift; g <= lastGranule;) {
-        uint64_t tagAddr = tagByteAddr(g << shift, granularity_);
-        unsigned lo = static_cast<unsigned>(g & 7);
-        unsigned n = static_cast<unsigned>(
-            std::min<uint64_t>(8 - lo, lastGranule - g + 1));
-        uint64_t byte = 0;
-        MemFault fault = mem_->read(tagAddr, 1, byte);
-        SHIFT_ASSERT(fault == MemFault::None);
-        count += static_cast<uint64_t>(
-            __builtin_popcountll(byte & (lowMask(n) << lo)));
-        g += n;
-    }
+    scanDirty(addr, len, [&](uint64_t, uint8_t bits) {
+        count += static_cast<uint64_t>(__builtin_popcount(bits));
+    });
     return count;
 }
 

@@ -67,7 +67,26 @@ class TaintMap
     }
 
   private:
-    void setBit(uint64_t addr, bool value);
+    /**
+     * Split the bitmap bits of [addr, addr+len) into runs that are
+     * contiguous in the tag space: fn(firstBit, lastBit, firstUnit),
+     * with bits numbered tagByteAddr * 8 + tagBitIndex.
+     */
+    template <typename Fn>
+    void forEachRun(uint64_t addr, uint64_t len, Fn &&fn) const;
+
+    /**
+     * fn(unit, bits) for every tag byte of the range that holds a
+     * tainted unit: `bits` is the byte masked to the range, its bit 0
+     * standing for `unit`. Tag bytes under clean summary lines are
+     * never read.
+     */
+    template <typename Fn>
+    void scanDirty(uint64_t addr, uint64_t len, Fn &&fn) const;
+
+    /** Store `value` into tag bits [b0, b1]; no mirror calls. */
+    void writeBits(uint64_t b0, uint64_t b1, bool value);
+
     void setRange(uint64_t addr, uint64_t len, bool value);
 
     Memory *mem_;

@@ -210,7 +210,7 @@ class AsyncTaintTier
 
     /**
      * Mirror one TaintMap bitmap write into the shadow (the TaintMap
-     * hook): `tagAddr`/`bitIndex` exactly as TaintMap::setBit wrote
+     * hook): `tagAddr`/`bitIndex` of one bit TaintMap wrote to
      * memory.
      */
     void mirrorTagWrite(uint64_t tagAddr, unsigned bitIndex, bool value);

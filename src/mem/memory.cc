@@ -16,6 +16,8 @@ Memory::map(uint64_t base, uint64_t len)
     uint64_t first = base >> kPageShift;
     uint64_t last = (base + len - 1) >> kPageShift;
     for (uint64_t p = first; p <= last; ++p) {
+        if (base_ && base_->count(p))
+            continue;
         auto &slot = pages_[p];
         if (!slot)
             slot = std::make_shared<Page>();
@@ -37,7 +39,15 @@ Memory::snapshot() const
     // writable=true entry would go stale-permissive: flush.
     tlbFlush();
     Snapshot snap;
-    snap.pages_ = pages_;
+    if (pages_.empty() && base_) {
+        snap.pages_ = base_;
+    } else {
+        // Private pages win over the base pages they hide.
+        auto all = std::make_shared<PageMap>(pages_);
+        if (base_)
+            all->insert(base_->begin(), base_->end());
+        snap.pages_ = std::move(all);
+    }
     snap.summary_ = summary_;
     return snap;
 }
@@ -45,15 +55,47 @@ Memory::snapshot() const
 void
 Memory::restore(const Snapshot &snap)
 {
-    pages_ = snap.pages_;
+    pages_.clear();
+    base_ = snap.pages_;
     summary_ = snap.summary_;
     tlbFlush();
+}
+
+const std::shared_ptr<Memory::Page> *
+Memory::findSlot(uint64_t key, bool &inBase) const
+{
+    auto it = pages_.find(key);
+    if (it != pages_.end()) {
+        inBase = false;
+        return &it->second;
+    }
+    if (base_) {
+        auto shared = base_->find(key);
+        if (shared != base_->end()) {
+            inBase = true;
+            return &shared->second;
+        }
+    }
+    return nullptr;
 }
 
 bool
 Memory::isMapped(uint64_t addr) const
 {
-    return pages_.count(addr >> kPageShift) != 0;
+    bool inBase = false;
+    return findSlot(addr >> kPageShift, inBase) != nullptr;
+}
+
+size_t
+Memory::pageCount() const
+{
+    size_t n = pages_.size();
+    if (base_) {
+        n += base_->size();
+        for (const auto &entry : pages_)
+            n -= base_->count(entry.first);
+    }
+    return n;
 }
 
 Memory::Page *
@@ -62,21 +104,24 @@ Memory::pageFor(uint64_t addr, bool allocate, bool forWrite)
     uint64_t key = addr >> kPageShift;
     if (Page *cached = forWrite ? tlbLookupWritable(key) : tlbLookup(key))
         return cached;
-    auto it = pages_.find(key);
-    if (it != pages_.end()) {
-        std::shared_ptr<Page> &slot = it->second;
-        if (forWrite && slot.use_count() > 1) {
-            // Write fault on a snapshot-shared page: replace it with a
-            // private copy. The snapshot keeps the original alive, so
-            // sibling clones (and cached read-only pointers) are
-            // untouched.
-            slot = std::make_shared<Page>(*slot);
+    bool inBase = false;
+    if (const std::shared_ptr<Page> *slot = findSlot(key, inBase)) {
+        if (forWrite && (inBase || slot->use_count() > 1)) {
+            // Write fault on a shared page (the restored base's, or
+            // one shared with a snapshot taken since): give this
+            // Memory a private copy. The snapshot keeps the original
+            // alive, so sibling clones (and cached read-only pointers)
+            // are untouched. Element references survive the insert.
+            std::shared_ptr<Page> &own = pages_[key];
+            own = std::make_shared<Page>(**slot);
+            slot = &own;
+            inBase = false;
             ++cowCopies_;
             if (cowHook_)
                 cowHook_(addr);
         }
-        tlbInsert(key, slot.get(), slot.use_count() == 1);
-        return slot.get();
+        tlbInsert(key, slot->get(), !inBase && slot->use_count() == 1);
+        return slot->get();
     }
     if (allocate || demandMapped(addr)) {
         auto page = std::make_shared<Page>();
@@ -94,11 +139,12 @@ Memory::pageForConst(uint64_t addr) const
     uint64_t key = addr >> kPageShift;
     if (Page *cached = tlbLookup(key))
         return cached;
-    auto it = pages_.find(key);
-    if (it == pages_.end())
+    bool inBase = false;
+    const std::shared_ptr<Page> *slot = findSlot(key, inBase);
+    if (!slot)
         return nullptr;
-    tlbInsert(key, it->second.get(), it->second.use_count() == 1);
-    return it->second.get();
+    tlbInsert(key, slot->get(), !inBase && slot->use_count() == 1);
+    return slot->get();
 }
 
 MemFault
@@ -213,15 +259,12 @@ Memory::contentHash(int region) const
     // Sorted page keys so the digest is independent of map iteration
     // order; all-zero pages are skipped so demand-allocating a page
     // one run never touched does not perturb the hash.
-    std::vector<uint64_t> keys;
-    keys.reserve(pages_.size());
-    for (const auto &entry : pages_) {
-        if (region >= 0 &&
-            regionOf(entry.first << kPageShift) != unsigned(region))
-            continue;
-        keys.push_back(entry.first);
-    }
-    std::sort(keys.begin(), keys.end());
+    std::vector<std::pair<uint64_t, const Page *>> pages;
+    forEachEntry([&](uint64_t key, const Page &page) {
+        if (region < 0 || regionOf(key << kPageShift) == unsigned(region))
+            pages.emplace_back(key, &page);
+    });
+    std::sort(pages.begin(), pages.end());
 
     auto mix = [](uint64_t h, uint64_t v) {
         h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -229,8 +272,8 @@ Memory::contentHash(int region) const
     };
 
     uint64_t hash = 0x5851f42d4c957f2dULL;
-    for (uint64_t key : keys) {
-        const Page &page = *pages_.at(key);
+    for (const auto &[key, pagePtr] : pages) {
+        const Page &page = *pagePtr;
         bool zero = true;
         for (size_t i = 0; i < kPageSize && zero; i += 8)
             zero = loadLe(page.data.data() + i, 8) == 0;
@@ -248,24 +291,14 @@ Memory::contentHash(int region) const
 }
 
 MemFault
-Memory::readBytes(uint64_t addr, void *out, uint64_t len)
+Memory::probeRange(uint64_t addr, uint64_t len) const
 {
-    // Page-wise: one translation per 4 KiB instead of per byte. The
-    // OS layer moves whole request/response/file buffers through
-    // here, which made the per-byte loop a top host cost on server
-    // workloads. Implemented-ness is constant within a page, so one
-    // check per chunk covers every byte of it.
-    uint8_t *dst = static_cast<uint8_t *>(out);
     while (len > 0) {
         if (!isImplemented(addr))
             return MemFault::Unimplemented;
-        uint64_t off = addr & (kPageSize - 1);
-        uint64_t chunk = std::min(len, kPageSize - off);
-        Page *page = pageFor(addr, false);
-        if (!page)
+        if (!pageForConst(addr) && !demandMapped(addr))
             return MemFault::Unmapped;
-        std::memcpy(dst, page->data.data() + off, chunk);
-        dst += chunk;
+        uint64_t chunk = std::min(len, kPageSize - (addr & (kPageSize - 1)));
         addr += chunk;
         len -= chunk;
     }
@@ -297,6 +330,26 @@ Memory::writeBytes(uint64_t addr, const void *src, uint64_t len)
             std::memcpy(page->data.data() + off, bytes, chunk);
         }
         bytes += chunk;
+        addr += chunk;
+        len -= chunk;
+    }
+    return MemFault::None;
+}
+
+MemFault
+Memory::fillBytes(uint64_t addr, uint8_t value, uint64_t len)
+{
+    while (len > 0) {
+        if (!isImplemented(addr))
+            return MemFault::Unimplemented;
+        uint64_t off = addr & (kPageSize - 1);
+        uint64_t chunk = std::min(len, kPageSize - off);
+        if (value != 0 && regionOf(addr) == kTagRegion)
+            summary_.markRange(addr, chunk);
+        Page *page = pageFor(addr, false, true);
+        if (!page)
+            return MemFault::Unmapped;
+        std::memset(page->data.data() + off, value, chunk);
         addr += chunk;
         len -= chunk;
     }

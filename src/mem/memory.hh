@@ -15,19 +15,22 @@
  * faults, which is what lets a speculative load manufacture a NaT.
  *
  * Pages are reference-counted and copy-on-write. snapshot() captures
- * the current address space by sharing every page; restore() adopts a
- * snapshot's pages wholesale. A write to a page that is shared with a
- * snapshot (or with a sibling Memory restored from the same snapshot)
- * copies that one page first, so forking a runnable clone from a
- * post-load snapshot costs O(pages actually dirtied), not O(address
- * space). Shared pages are only ever read concurrently; each clone
- * dirties private copies, which is what makes fleets of machines
- * forked from one snapshot safe to run on concurrent threads.
+ * the current address space as an immutable page map shared by
+ * reference; restore() adopts that map itself as a read-only base and
+ * starts an empty private map in front of it. A write to a page of the
+ * base (or to a private page shared with a snapshot taken since)
+ * copies that one page into the private map first, so forking a
+ * runnable clone from a post-load snapshot costs O(1) and its teardown
+ * O(pages actually dirtied), not O(address space). Shared pages are
+ * only ever read concurrently; each clone dirties private copies,
+ * which is what makes fleets of machines forked from one snapshot safe
+ * to run on concurrent threads.
  */
 
 #ifndef SHIFT_MEM_MEMORY_HH
 #define SHIFT_MEM_MEMORY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -116,7 +119,7 @@ class Memory
     {
         // Taint-summary maintenance rides the store path, ahead of the
         // fast/slow split so every route (TLB hit, COW fault, demand
-        // map, host-side TaintMap::setBit) is covered. Marking before
+        // map, host-side TaintMap edge bytes) is covered. Marking before
         // the fault checks can over-mark on a write that then faults;
         // the summary is conservative by contract, so that only costs
         // a deopt, never soundness.
@@ -174,18 +177,46 @@ class Memory
         return readFillSlow(addr, value, nat);
     }
 
-    /** Bulk host-side copy out of simulated memory. */
-    MemFault readBytes(uint64_t addr, void *out, uint64_t len);
+    /**
+     * Bulk host-side read of [addr, addr+len) in place, page by page: fn(const uint8_t *,
+     * uint64_t n) sees each page's slice in address order, so a host
+     * sink can append guest bytes with no staging buffer. The whole
+     * range is checked first: a faulting range returns its fault
+     * without calling fn at all. The pointers are valid only during
+     * the call.
+     */
+    template <typename Fn>
+    MemFault
+    readChunks(uint64_t addr, uint64_t len, Fn &&fn)
+    {
+        MemFault fault = probeRange(addr, len);
+        if (fault != MemFault::None)
+            return fault;
+        while (len > 0) {
+            uint64_t off = addr & (kPageSize - 1);
+            uint64_t chunk = std::min(len, kPageSize - off);
+            fn(pageFor(addr, false)->data.data() + off, chunk);
+            addr += chunk;
+            len -= chunk;
+        }
+        return MemFault::None;
+    }
 
     /** Bulk host-side copy into simulated memory. */
     MemFault writeBytes(uint64_t addr, const void *src, uint64_t len);
+
+    /**
+     * Set [addr, addr+len) to `value`, page by page. A nonzero fill of
+     * the tag space marks the taint summary once per page it covers.
+     */
+    MemFault fillBytes(uint64_t addr, uint8_t value, uint64_t len);
 
     /** Read a NUL-terminated string (bounded by maxLen). */
     MemFault readCString(uint64_t addr, std::string &out,
                          uint64_t maxLen = 1 << 20);
 
-    /** Number of pages currently allocated. */
-    size_t pageCount() const { return pages_.size(); }
+    /** Number of pages currently mapped, private or shared. */
+    size_t pageCount() const;
 
     /**
      * Order-independent digest of the address space: data bytes and
@@ -210,11 +241,11 @@ class Memory
     void
     forEachPage(unsigned region, Fn &&fn) const
     {
-        for (const auto &entry : pages_) {
-            uint64_t base = entry.first << kPageShift;
+        forEachEntry([&](uint64_t key, const Page &page) {
+            uint64_t base = key << kPageShift;
             if (regionOf(base) == region)
-                fn(base, entry.second->data.data());
-        }
+                fn(base, page.data.data());
+        });
     }
 
     /**
@@ -239,23 +270,27 @@ class Memory
         std::array<uint64_t, kPageSize / 8 / 64> nat{};
     };
 
+    using PageMap = std::unordered_map<uint64_t, std::shared_ptr<Page>>;
+
   public:
     /**
      * An immutable capture of the whole address space: every page
-     * shared by reference, data and NaT sidecar alike. Cheap to take
-     * (one map copy, no page copies) and to restore from; a snapshot
-     * keeps its pages alive and read-only-shared for as long as it
+     * shared by reference, data and NaT sidecar alike, in one page map
+     * that is itself shared. Taking one copies the page map at most
+     * once (not at all from a clean restored Memory); restoring from
+     * one copies nothing. A snapshot keeps its pages alive and
+     * read-only-shared for as long as it or a Memory restored from it
      * exists.
      */
     class Snapshot
     {
       public:
-        /** Pages captured (also the O() cost of taking it: map only). */
-        size_t pageCount() const { return pages_.size(); }
+        /** Pages captured. */
+        size_t pageCount() const { return pages_ ? pages_->size() : 0; }
 
       private:
         friend class Memory;
-        std::unordered_map<uint64_t, std::shared_ptr<Page>> pages_;
+        std::shared_ptr<const PageMap> pages_;
         /**
          * Taint summary at capture time, by value. restore() adopts a
          * private copy, so clones forked from one snapshot share no
@@ -271,7 +306,7 @@ class Memory
     /**
      * Replace the address space with a snapshot's pages (shared; this
      * Memory copies a page the first time it writes to it). Existing
-     * pages are dropped.
+     * pages are dropped. O(1) in the snapshot's size.
      */
     void restore(const Snapshot &snap);
 
@@ -334,6 +369,33 @@ class Memory
      */
     Page *pageFor(uint64_t addr, bool allocate, bool forWrite = false);
     const Page *pageForConst(uint64_t addr) const;
+
+    /**
+     * probe() for a range of any length: the first fault a page-wise
+     * walk of it would hit, without allocating demand pages.
+     */
+    MemFault probeRange(uint64_t addr, uint64_t len) const;
+
+    /**
+     * The slot holding the page with this key: the private map first,
+     * then the restored base (`inBase`); null when unmapped.
+     */
+    const std::shared_ptr<Page> *findSlot(uint64_t key, bool &inBase) const;
+
+    /** fn(key, page) for every mapped page, private or shared. */
+    template <typename Fn>
+    void
+    forEachEntry(Fn &&fn) const
+    {
+        for (const auto &entry : pages_)
+            fn(entry.first, *entry.second);
+        if (!base_)
+            return;
+        for (const auto &entry : *base_) {
+            if (!pages_.count(entry.first))
+                fn(entry.first, *entry.second);
+        }
+    }
 
     /** Out-of-line general read/write paths behind the inline pair. */
     MemFault readSlow(uint64_t addr, unsigned size, uint64_t &value);
@@ -489,7 +551,14 @@ class Memory
 
     void tlbFlush() const;
 
-    std::unordered_map<uint64_t, std::shared_ptr<Page>> pages_;
+    /** Pages mapped, allocated or copied since the last restore(). */
+    PageMap pages_;
+    /**
+     * The restored snapshot's page map: shared with the snapshot and
+     * with sibling clones, never written. A key in pages_ hides the
+     * same key here.
+     */
+    std::shared_ptr<const PageMap> base_;
     uint64_t cowCopies_ = 0;
     std::function<void(uint64_t)> cowHook_;
     TaintSummary summary_;

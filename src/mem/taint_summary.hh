@@ -59,6 +59,25 @@ class TaintSummary
             markLine(last);
     }
 
+    /**
+     * mark() for a bulk store of `len` bytes: one map update per tag
+     * page, however many lines of it the range covers.
+     */
+    void
+    markRange(uint64_t addr, uint64_t len)
+    {
+        if (len == 0)
+            return;
+        uint64_t last = addr + len - 1;
+        for (uint64_t key = addr >> kPageShift; key <= last >> kPageShift;
+             ++key) {
+            unsigned lo = key == addr >> kPageShift ? lineIndex(addr) : 0;
+            unsigned hi = key == last >> kPageShift ? lineIndex(last)
+                                                    : kLinesPerPage - 1;
+            markLines(key, (~0ULL >> (63 - hi)) & (~0ULL << lo));
+        }
+    }
+
     /** True when the 64B line holding addr was ever marked. */
     bool
     lineDirty(uint64_t addr) const
@@ -119,9 +138,14 @@ class TaintSummary
     void
     markLine(uint64_t addr)
     {
-        uint64_t key = addr >> kPageShift;
+        markLines(addr >> kPageShift, 1ULL << lineIndex(addr));
+    }
+
+    void
+    markLines(uint64_t key, uint64_t lines)
+    {
         uint64_t &bits = pages_[key];
-        bits |= 1ULL << lineIndex(addr);
+        bits |= lines;
         // Keep the probe cache coherent: the insert may have created
         // the entry this key's cached "clean" verdict denied.
         Way &w = cache_[key & (kCacheWays - 1)];

@@ -260,26 +260,36 @@ registerRuntimeBuiltins(Machine &machine, RuntimeContext &ctx)
     // send(): the outbound-HTML boundary; H5 (cross-site scripting)
     // is checked on data leaving for the network.
     machine.registerBuiltin("send", [os, c](Machine &m) {
+        int64_t fd = static_cast<int64_t>(m.arg(0));
         uint64_t buf = m.arg(1);
         uint64_t len = m.arg(2);
-        if (c->tracking()) {
-            std::string data(len, '\0');
-            if (m.memory().readBytes(buf, data.data(), len) ==
-                MemFault::None) {
-                notePolicyCheck(m, "H5", buf);
-                // Map-querying overload: probe taint only at
-                // `<script` matches instead of materializing a
-                // per-byte vector for the whole response.
-                auto alert =
-                    c->policy->checkHtml(data, *c->taint, buf);
-                if (applyAlert(m, *c, std::move(alert))) {
-                    m.setRetval(static_cast<uint64_t>(-1));
-                    return;
-                }
-            }
+        if (!c->tracking()) {
+            m.setRetval(static_cast<uint64_t>(os->writeFd(m, fd, buf, len)));
+            return;
         }
-        m.setRetval(static_cast<uint64_t>(
-            os->writeFd(m, static_cast<int64_t>(m.arg(0)), buf, len)));
+        // Copy the payload out of guest memory once: the H5 check and
+        // the write see the same bytes. A buffer that faults is a
+        // failed write, as writeFd would report it.
+        std::string data;
+        if (m.memory().readChunks(buf, len, [&](const uint8_t *bytes,
+                                                uint64_t n) {
+                if (data.empty())
+                    data.reserve(len);
+                data.append(reinterpret_cast<const char *>(bytes), n);
+            }) != MemFault::None) {
+            m.setRetval(static_cast<uint64_t>(-1));
+            return;
+        }
+        notePolicyCheck(m, "H5", buf);
+        // Map-querying overload: probe taint only at `<script` matches
+        // instead of materializing a per-byte vector for the whole
+        // response.
+        auto alert = c->policy->checkHtml(data, *c->taint, buf);
+        if (applyAlert(m, *c, std::move(alert))) {
+            m.setRetval(static_cast<uint64_t>(-1));
+            return;
+        }
+        m.setRetval(static_cast<uint64_t>(os->writeFd(m, fd, data)));
     });
 
     machine.registerBuiltin("file_size", [os](Machine &m) {

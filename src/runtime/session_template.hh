@@ -9,8 +9,8 @@
  * a prototype machine, and freezes a MachineSnapshot of the pre-run
  * state (COW-shared pages, registers and NaT bits, the shared decode
  * result). instantiate() then forks an isolated, runnable
- * SessionClone in O(pages-map) time — clones share all unmodified
- * pages and copy only what they dirty, so they are safe to run
+ * SessionClone in O(1) memory work — clones share the snapshot's page
+ * map and provisioned file bodies and copy only what they dirty, so they are safe to run
  * concurrently on separate threads (see docs/FLEET.md).
  *
  *   SessionTemplate tmpl({appSource}, options);
@@ -43,7 +43,8 @@ class SessionTemplate;
 
 /**
  * One runnable instance forked from a SessionTemplate: its own OS
- * (copied from the template's provisioned prototype), its own machine
+ * (a copy of the template's provisioned prototype that shares its file
+ * bodies until it write-opens one), its own machine
  * restored from the frozen snapshot, and its own taint map and policy
  * engine. Single-use, like Session. Clones hold a reference to their
  * template, which must outlive them.
@@ -140,7 +141,8 @@ class SessionTemplate
     minic::SpeculateStats speculateStats_;
     OptStats optStats_;
 
-    /** Provisioned prototype OS, copied into each clone. */
+    /** Provisioned prototype OS, copied (file bodies shared) into each
+     * clone. */
     Os protoOs_;
     /** Prototype machine; consumed by freeze() to take the snapshot. */
     std::unique_ptr<Machine> proto_;

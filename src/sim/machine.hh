@@ -130,8 +130,8 @@ struct RunResult
  * whole address space (COW-shared pages, including the region-0 taint
  * bitmap and NaT sidecars), every architectural register with its NaT
  * bit, the layout tables, and a reference to the already-decoded
- * program. Taking one is O(pages) map work; constructing a Machine
- * from one skips layout and decode entirely, so a fleet can fork many
+ * program. Taking one copies the page map at most once; constructing a
+ * Machine from one shares that map and skips layout and decode, so a fleet can fork many
  * runnable clones from a single compile. See docs/FLEET.md.
  */
 struct MachineSnapshot

@@ -6,16 +6,34 @@
 namespace shift
 {
 
+namespace
+{
+
+void
+appendBytes(std::string &sink, const uint8_t *bytes, uint64_t n)
+{
+    sink.append(reinterpret_cast<const char *>(bytes), n);
+}
+
+void
+appendBytes(std::vector<uint8_t> &sink, const uint8_t *bytes, uint64_t n)
+{
+    sink.insert(sink.end(), bytes, bytes + n);
+}
+
+} // namespace
+
 void
 Os::addFile(const std::string &path, std::vector<uint8_t> bytes)
 {
-    files_[path] = std::move(bytes);
+    files_[path] = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
 }
 
 void
 Os::addFile(const std::string &path, const std::string &text)
 {
-    files_[path] = std::vector<uint8_t>(text.begin(), text.end());
+    files_[path] =
+        std::make_shared<std::vector<uint8_t>>(text.begin(), text.end());
 }
 
 bool
@@ -30,7 +48,7 @@ Os::fileBytes(const std::string &path) const
     auto it = files_.find(path);
     if (it == files_.end())
         SHIFT_FATAL("no simulated file '%s'", path.c_str());
-    return it->second;
+    return *it->second;
 }
 
 void
@@ -68,7 +86,7 @@ Os::openFd(Machine &m, const std::string &path, int64_t flags)
     if (!writable && !files_.count(path))
         return -1;
     if (writable)
-        files_[path].clear();
+        files_[path] = std::make_shared<std::vector<uint8_t>>();
     FdEntry entry;
     entry.kind = FdKind::File;
     entry.path = path;
@@ -89,7 +107,7 @@ Os::readFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len)
     uint64_t avail = 0;
     std::string channel;
     if (entry->kind == FdKind::File) {
-        const auto &bytes = files_[entry->path];
+        const std::vector<uint8_t> &bytes = *files_.at(entry->path);
         if (entry->offset >= bytes.size()) {
             chargeIo(m, costs_.ioBase, 0);
             return 0;
@@ -112,7 +130,7 @@ Os::readFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len)
     }
 
     uint64_t n = std::min(len, avail);
-    if (mem_write_failed(m, buf, src, n))
+    if (m.memory().writeBytes(buf, src, n) != MemFault::None)
         return -1;
     entry->offset += (entry->kind == FdKind::File) ? n : 0;
     if (entry->kind == FdKind::Socket)
@@ -123,35 +141,59 @@ Os::readFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len)
     return static_cast<int64_t>(n);
 }
 
+template <typename Append>
+int64_t
+Os::writeTo(Machine &m, int64_t fd, uint64_t len, Append &&append)
+{
+    bool ok = false;
+    if (fd == 1) {
+        ok = append(stdout_);
+    } else {
+        FdEntry *entry = lookup(fd);
+        if (!entry)
+            return -1;
+        if (entry->kind == FdKind::File) {
+            if (!entry->writable)
+                return -1;
+            ok = append(writableFile(entry->path));
+        } else if (entry->kind == FdKind::Socket) {
+            ok = append(responses_[active_[entry->connIndex].responseIndex]);
+        }
+    }
+    if (!ok)
+        return -1;
+    chargeIo(m, costs_.ioBase, len);
+    return static_cast<int64_t>(len);
+}
+
 int64_t
 Os::writeFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len)
 {
-    std::vector<uint8_t> data(len);
-    if (m.memory().readBytes(buf, data.data(), len) != MemFault::None)
-        return -1;
+    return writeTo(m, fd, len, [&](auto &sink) {
+        return m.memory().readChunks(
+                   buf, len, [&](const uint8_t *bytes, uint64_t n) {
+                       appendBytes(sink, bytes, n);
+                   }) == MemFault::None;
+    });
+}
 
-    if (fd == 1) {
-        stdout_.append(data.begin(), data.end());
-        chargeIo(m, costs_.ioBase, len);
-        return static_cast<int64_t>(len);
-    }
+int64_t
+Os::writeFd(Machine &m, int64_t fd, std::string_view bytes)
+{
+    return writeTo(m, fd, bytes.size(), [&](auto &sink) {
+        appendBytes(sink, reinterpret_cast<const uint8_t *>(bytes.data()),
+                    bytes.size());
+        return true;
+    });
+}
 
-    FdEntry *entry = lookup(fd);
-    if (!entry)
-        return -1;
-    if (entry->kind == FdKind::File) {
-        if (!entry->writable)
-            return -1;
-        auto &bytes = files_[entry->path];
-        bytes.insert(bytes.end(), data.begin(), data.end());
-    } else if (entry->kind == FdKind::Socket) {
-        responses_[active_[entry->connIndex].responseIndex]
-            .append(data.begin(), data.end());
-    } else {
-        return -1;
-    }
-    chargeIo(m, costs_.ioBase, len);
-    return static_cast<int64_t>(len);
+std::vector<uint8_t> &
+Os::writableFile(const std::string &path)
+{
+    FileBody &body = files_.at(path);
+    if (body.use_count() > 1)
+        body = std::make_shared<std::vector<uint8_t>>(*body);
+    return *body;
 }
 
 int64_t
@@ -192,14 +234,7 @@ Os::fileSize(const std::string &path) const
     auto it = files_.find(path);
     if (it == files_.end())
         return -1;
-    return static_cast<int64_t>(it->second.size());
-}
-
-bool
-Os::mem_write_failed(Machine &m, uint64_t buf, const uint8_t *src,
-                     uint64_t n)
-{
-    return m.memory().writeBytes(buf, src, n) != MemFault::None;
+    return static_cast<int64_t>(it->second->size());
 }
 
 } // namespace shift

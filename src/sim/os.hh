@@ -27,7 +27,9 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace shift
@@ -77,6 +79,19 @@ class Os
     /** Responses written by the program, one per accepted connection. */
     const std::vector<std::string> &responses() const { return responses_; }
 
+    /**
+     * Move the responses out, e.g. into a fleet job's result at the
+     * end of its run. Each accepted connection's response restarts
+     * empty.
+     */
+    std::vector<std::string>
+    takeResponses()
+    {
+        std::vector<std::string> out(responses_.size());
+        out.swap(responses_);
+        return out;
+    }
+
     /** Everything written to fd 1. */
     const std::string &stdoutText() const { return stdout_; }
 
@@ -97,8 +112,19 @@ class Os
     /** Read from an fd into simulated memory; returns bytes or -1. */
     int64_t readFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len);
 
-    /** Write from simulated memory to an fd; returns bytes or -1. */
+    /**
+     * Write from simulated memory to an fd; returns bytes or -1. The
+     * bytes are appended straight from guest pages; a buffer that
+     * runs into unmapped memory appends nothing and returns -1.
+     */
     int64_t writeFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len);
+
+    /**
+     * Write bytes the caller already copied out of simulated memory
+     * (send's H5 check reads its payload first); same result and cost
+     * as the guest-buffer overload.
+     */
+    int64_t writeFd(Machine &m, int64_t fd, std::string_view bytes);
 
     /** Close an fd; returns 0 or -1. */
     int64_t closeFd(Machine &m, int64_t fd);
@@ -129,13 +155,32 @@ class Os
         size_t responseIndex = 0;
     };
 
+    using FileBody = std::shared_ptr<std::vector<uint8_t>>;
+
     void chargeIo(Machine &m, uint64_t base, uint64_t bytes);
     FdEntry *lookup(int64_t fd);
-    static bool mem_write_failed(Machine &m, uint64_t buf,
-                                 const uint8_t *src, uint64_t n);
+
+    /**
+     * Resolve fd's sink (stdout, a write-open file or a connection's
+     * response) and let append(sink) add `len` bytes to it; append
+     * returns false, leaving the sink unchanged, when the bytes cannot
+     * be read.
+     */
+    template <typename Append>
+    int64_t writeTo(Machine &m, int64_t fd, uint64_t len, Append &&append);
+
+    /** A file's body for appending, made private first if shared. */
+    std::vector<uint8_t> &writableFile(const std::string &path);
 
     Costs costs_;
-    std::map<std::string, std::vector<uint8_t>> files_;
+    /**
+     * File bodies. A body is shared, never mutated, between copies of
+     * an Os (a SessionTemplate's prototype and all its clones), so a
+     * fork copies pointers, not file contents. A write-open installs a
+     * fresh private body, and writableFile() copies any body that is
+     * still shared before it is written.
+     */
+    std::map<std::string, FileBody> files_;
     std::deque<Connection> pending_;
     std::vector<Connection> active_;
     std::vector<std::string> responses_;

@@ -38,14 +38,16 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
 {
     tmpl_->freeze();
 
-    MpmcQueue<FleetJob> queue(options_.queueCapacity);
+    // Jobs stay in the caller's vector; the queue hands out pointers.
+    MpmcQueue<const FleetJob *> queue(options_.queueCapacity);
     ConcurrentStatSet aggregate;
     std::mutex resultsMutex;
     std::vector<FleetJobResult> results;
     results.reserve(jobs.size());
 
     auto worker = [&] {
-        while (std::optional<FleetJob> job = queue.pop()) {
+        while (std::optional<const FleetJob *> next = queue.pop()) {
+            const FleetJob *job = *next;
             FleetJobResult jr;
             jr.id = job->id;
             uint64_t jobId = static_cast<uint64_t>(job->id);
@@ -65,7 +67,7 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
             obs::note(obs::Ev::JobRunEnd, 0, -1, 0, jobId,
                       jr.result.cycles);
 
-            jr.responses = clone->os().responses();
+            jr.responses = clone->os().takeResponses();
             jr.cowPages = clone->machine().memory().cowCopies();
 
             if (options_.reference) {
@@ -114,7 +116,7 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
         threads.emplace_back(worker);
 
     for (const FleetJob &job : jobs)
-        queue.push(job);
+        queue.push(&job);
     queue.close();
     for (std::thread &t : threads)
         t.join();

@@ -5,8 +5,9 @@
  *
  * Each job is one forked clone's workload (for httpd: a batch of HTTP
  * requests queued as inbound connections). Workers pull jobs from a
- * bounded MPMC queue, fork a clone (O(dirtied pages) thanks to the
- * COW snapshot), run it to completion on the predecoded engine, and
+ * bounded MPMC queue, fork a clone (it shares the snapshot's pages and
+ * the provisioned file bodies, copying only what it dirties), run it
+ * to completion on the predecoded engine, move its responses out, and
  * fold the per-clone statistics and policy verdicts into an aggregate
  * FleetReport. Because clones share pages read-only and dirty private
  * copies, N workers need no synchronization while simulating — only

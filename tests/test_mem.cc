@@ -425,5 +425,50 @@ TEST(MemorySnapshot, SnapshotOfRestoredCloneChains)
     EXPECT_EQ(v, 1u);
 }
 
+TEST(MemorySnapshot, RestoredCloneSeesSharedAndPrivatePagesAsOne)
+{
+    Memory mem;
+    mem.map(kBase, 2 * Memory::kPageSize);
+    mem.write(kBase, 8, 0x11);
+    mem.write(kBase + Memory::kPageSize, 8, 0x22);
+
+    Memory clone;
+    {
+        // The clone keeps the shared pages alive past the snapshot.
+        Memory::Snapshot snap = mem.snapshot();
+        clone.restore(snap);
+    }
+    clone.write(kBase, 8, 0x33); // private copy of page 0
+    uint64_t far = kBase + 4 * Memory::kPageSize;
+    clone.map(far, Memory::kPageSize); // a page only the clone has
+    clone.write(far, 8, 0x44);
+
+    Memory flat;
+    flat.map(kBase, 2 * Memory::kPageSize);
+    flat.map(far, Memory::kPageSize);
+    flat.write(kBase, 8, 0x33);
+    flat.write(kBase + Memory::kPageSize, 8, 0x22);
+    flat.write(far, 8, 0x44);
+
+    EXPECT_EQ(clone.pageCount(), 3u);
+    EXPECT_EQ(clone.contentHash(), flat.contentHash());
+    size_t visited = 0;
+    clone.forEachPage(kDataRegion, [&](uint64_t, const uint8_t *) {
+        ++visited;
+    });
+    EXPECT_EQ(visited, 3u);
+    EXPECT_TRUE(clone.isMapped(kBase + Memory::kPageSize));
+    EXPECT_FALSE(clone.isMapped(kBase + 2 * Memory::kPageSize));
+
+    // A snapshot of the clone merges both; a grandchild sees the merge.
+    Memory grandchild;
+    grandchild.restore(clone.snapshot());
+    EXPECT_EQ(grandchild.pageCount(), 3u);
+    EXPECT_EQ(grandchild.contentHash(), flat.contentHash());
+    uint64_t v = 0;
+    mem.read(kBase, 8, v);
+    EXPECT_EQ(v, 0x11u);
+}
+
 } // namespace
 } // namespace shift

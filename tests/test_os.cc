@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/session.hh"
+#include "session_helpers.hh"
 
 namespace shift
 {
@@ -205,6 +206,141 @@ TEST(Os, SprintfFormatting)
     RunResult r = session.run();
     ASSERT_TRUE(r.exited) << faultKindName(r.fault.kind);
     EXPECT_EQ(session.os().stdoutText(), "key=-42 c=Z hex=ff %");
+}
+
+// A heap buffer whose first bytes are mapped and whose 8 KiB tail runs
+// past the heap break into unmapped memory. Every faulting write or
+// send must return -1 and append nothing to its sink.
+const char *const kFaultingWrites =
+    "int main() {"
+    "  char *p = malloc(16);"
+    "  p[0] = 'o'; p[1] = 'k';"
+    "  int conn = accept();"
+    "  int out = open(\"out.txt\", 1);"
+    "  int ok = 0;"
+    "  if (send(conn, p, 2) == 2) ok = ok + 1;"
+    "  if (send(conn, p, 8192) == -1) ok = ok + 2;"
+    "  if (write(conn, p, 8192) == -1) ok = ok + 4;"
+    "  if (write(out, p, 2) == 2) ok = ok + 8;"
+    "  if (write(out, p, 8192) == -1) ok = ok + 16;"
+    "  if (write(1, p, 2) == 2) ok = ok + 32;"
+    "  if (write(1, p, 8192) == -1) ok = ok + 64;"
+    "  return ok;"
+    "}";
+
+void
+expectFaultingWritesAppendNothing(SessionOptions options)
+{
+    Session session(kFaultingWrites, std::move(options));
+    session.os().queueConnection("x");
+    RunResult r = session.run();
+    ASSERT_TRUE(r.exited) << faultKindName(r.fault.kind);
+    EXPECT_EQ(r.exitCode, 127);
+    ASSERT_EQ(session.os().responses().size(), 1u);
+    EXPECT_EQ(session.os().responses()[0], "ok");
+    const auto &file = session.os().fileBytes("out.txt");
+    EXPECT_EQ(std::string(file.begin(), file.end()), "ok");
+    EXPECT_EQ(session.os().stdoutText(), "ok");
+}
+
+TEST(Os, FaultingWriteAppendsNothing)
+{
+    expectFaultingWritesAppendNothing(plain());
+}
+
+TEST(Os, FaultingSendAppendsNothingWhenTracking)
+{
+    // Tracking routes send through the H5 check's copy of the payload.
+    SessionOptions options = testutil::shiftOptions();
+    options.policy.h5 = true;
+    expectFaultingWritesAppendNothing(options);
+}
+
+TEST(Os, FaultingWriteChargesNoIo)
+{
+    auto cyclesFor = [](const char *call) {
+        Session session(std::string("int main() {"
+                                    "  char *p = malloc(16);"
+                                    "  int out = open(\"o\", 1);") +
+                            call + " return 0; }",
+                        plain());
+        RunResult r = session.run();
+        EXPECT_TRUE(r.exited);
+        return r.cycles;
+    };
+    // Same instruction stream; only the faulting length differs from a
+    // zero-length write, which pays the base I/O cost.
+    EXPECT_LT(cyclesFor("write(out, p, 8192);"),
+              cyclesFor("write(out, p, 0);"));
+}
+
+TEST(Os, AlertedSendWritesNothing)
+{
+    // H5 in log-and-continue mode: the tainted <script> payload is
+    // refused (-1) and the response keeps only what came before it.
+    SessionOptions options = testutil::shiftOptions();
+    options.policy.h5 = true;
+    options.policy.alertKills = false;
+    Session session(
+        "char buf[64];"
+        "int main() {"
+        "  int conn = accept();"
+        "  int n = recv(conn, buf, 63);"
+        "  send(conn, \"hdr:\", 4);"
+        "  int s = send(conn, buf, n);"
+        "  close(conn);"
+        "  return s == -1;"
+        "}",
+        options);
+    session.os().queueConnection("<script>alert(1)</script>");
+    RunResult r = session.run();
+    ASSERT_TRUE(r.exited) << faultKindName(r.fault.kind);
+    EXPECT_EQ(r.exitCode, 1);
+    ASSERT_EQ(r.alerts.size(), 1u);
+    EXPECT_EQ(r.alerts[0].policy, "H5");
+    ASSERT_EQ(session.os().responses().size(), 1u);
+    EXPECT_EQ(session.os().responses()[0], "hdr:");
+}
+
+TEST(Os, TakeResponsesMovesThemOut)
+{
+    Session session(
+        "int main() {"
+        "  int conn = accept();"
+        "  send(conn, \"abc\", 3);"
+        "  return 0;"
+        "}",
+        plain());
+    session.os().queueConnection("x");
+    session.run();
+    std::vector<std::string> taken = session.os().takeResponses();
+    ASSERT_EQ(taken.size(), 1u);
+    EXPECT_EQ(taken[0], "abc");
+    ASSERT_EQ(session.os().responses().size(), 1u);
+    EXPECT_EQ(session.os().responses()[0], "");
+}
+
+TEST(Os, CopiesShareFileBodiesUntilWriteOpen)
+{
+    Os proto;
+    proto.addFile("/f", "original");
+    Os copy(proto);
+    EXPECT_EQ(&copy.fileBytes("/f"), &proto.fileBytes("/f"));
+
+    Session session(
+        "int main() {"
+        "  int fd = open(\"/f\", 1);"
+        "  write(fd, \"new\", 3);"
+        "  return 0;"
+        "}",
+        plain());
+    session.os().addFile("/f", "original");
+    Os before(session.os());
+    session.run();
+    const auto &written = session.os().fileBytes("/f");
+    EXPECT_EQ(std::string(written.begin(), written.end()), "new");
+    const auto &kept = before.fileBytes("/f");
+    EXPECT_EQ(std::string(kept.begin(), kept.end()), "original");
 }
 
 } // namespace

@@ -14,7 +14,9 @@
 #include "runtime/session_template.hh"
 #include "session_helpers.hh"
 #include "support/logging.hh"
+#include "svc/fleet.hh"
 #include "svc/mpmc_queue.hh"
+#include "workloads/httpd.hh"
 
 namespace shift
 {
@@ -217,6 +219,134 @@ TEST(SessionTemplate, ConcurrentClonesComputeIdenticalResults)
         EXPECT_TRUE(results[i].exited);
         EXPECT_EQ(results[i].exitCode, 1);
         EXPECT_EQ(results[i].cycles, results[0].cycles);
+    }
+}
+
+// ----- shared file bodies and moved responses ---------------------------
+
+// A reader clone serves /doc back 50 times; a writer clone write-opens
+// /doc and rewrites it 50 times. The request picks the role.
+const char *const kDocSource =
+    "char buf[64];"
+    "char req[8];"
+    "int main() {"
+    "  int conn = accept();"
+    "  recv(conn, req, 1);"
+    "  int i = 0;"
+    "  while (i < 50) {"
+    "    if (req[0] == 'w') {"
+    "      int out = open(\"/doc\", 1);"
+    "      write(out, \"mutated\", 7);"
+    "      close(out);"
+    "    } else {"
+    "      int in = open(\"/doc\", 0);"
+    "      int n = read(in, buf, 63);"
+    "      close(in);"
+    "      send(conn, buf, n);"
+    "    }"
+    "    i = i + 1;"
+    "  }"
+    "  return 0;"
+    "}";
+
+TEST(SessionTemplate, WriteOpenedFileStaysPrivateToItsClone)
+{
+    SessionTemplate tmpl(kDocSource, shiftOptions());
+    tmpl.os().addFile("/doc", "original");
+    tmpl.freeze();
+    std::string expected;
+    for (int i = 0; i < 50; ++i)
+        expected += "original";
+
+    // Writers and readers run at the same time on separate threads;
+    // every reader must see the provisioned bytes throughout.
+    constexpr int kClones = 4;
+    std::vector<std::string> written(kClones), served(kClones);
+    std::thread writer([&] {
+        for (int i = 0; i < kClones; ++i) {
+            auto clone = tmpl.instantiate();
+            clone->os().queueConnection("w");
+            clone->run();
+            const auto &bytes = clone->os().fileBytes("/doc");
+            written[i].assign(bytes.begin(), bytes.end());
+        }
+    });
+    std::thread reader([&] {
+        for (int i = 0; i < kClones; ++i) {
+            auto clone = tmpl.instantiate();
+            clone->os().queueConnection("r");
+            clone->run();
+            std::vector<std::string> responses = clone->os().takeResponses();
+            served[i] = responses.empty() ? "" : responses[0];
+        }
+    });
+    writer.join();
+    reader.join();
+    for (int i = 0; i < kClones; ++i) {
+        EXPECT_EQ(written[i], "mutated") << "writer " << i;
+        EXPECT_EQ(served[i], expected) << "reader " << i;
+    }
+
+    // A clone forked after the writers still starts from the template.
+    auto late = tmpl.instantiate();
+    const auto &bytes = late->os().fileBytes("/doc");
+    EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "original");
+}
+
+TEST(Fleet, MovedResponsesMatchFreshSessions)
+{
+    // The paper's Fig. 6 file sizes, served by 4 concurrent workers;
+    // every job's responses must equal a single-use Session's.
+    const uint64_t kSizes[] = {4 * 1024, 8 * 1024, 16 * 1024, 512 * 1024};
+    auto provision = [&](Os &os) {
+        workloads::provisionHttpdOs(os, kSizes[0]);
+        for (uint64_t size : kSizes)
+            os.addFile("/www/f" + std::to_string(size) + ".bin",
+                       workloads::httpdFileBody(size));
+    };
+    SessionOptions options = workloads::httpdSessionOptions(
+        TrackingMode::Shift, Granularity::Byte, CpuFeatures{},
+        ExecEngine::Predecoded);
+    options.fastPath = true;
+    SessionTemplate tmpl(workloads::kHttpdSource, options);
+    provision(tmpl.os());
+
+    std::vector<svc::FleetJob> jobs;
+    for (int j = 0; j < 8; ++j) {
+        svc::FleetJob job;
+        job.id = j;
+        for (int r = 0; r <= j % 3; ++r) {
+            uint64_t size = kSizes[(j + r) % 4];
+            job.requests.push_back("GET /f" + std::to_string(size) +
+                                   ".bin HTTP/1.0\r\n\r\n");
+        }
+        jobs.push_back(job);
+    }
+    svc::FleetOptions fleetOptions;
+    fleetOptions.workers = 4;
+    svc::Fleet fleet(tmpl, fleetOptions);
+    svc::FleetReport report = fleet.serve(jobs);
+    ASSERT_EQ(report.jobResults.size(), jobs.size());
+
+    for (const svc::FleetJobResult &jr : report.jobResults) {
+        Session fresh(workloads::kHttpdSource, options);
+        provision(fresh.os());
+        for (const std::string &request : jobs[size_t(jr.id)].requests)
+            fresh.os().queueConnection(request);
+        RunResult r = fresh.run();
+        EXPECT_EQ(jr.result.cycles, r.cycles) << "job " << jr.id;
+        ASSERT_EQ(jr.responses.size(), fresh.os().responses().size());
+        for (size_t i = 0; i < jr.responses.size(); ++i) {
+            const std::string &got = jr.responses[i];
+            EXPECT_EQ(got, fresh.os().responses()[i])
+                << "job " << jr.id << " response " << i;
+            uint64_t size = kSizes[(size_t(jr.id) + i) % 4];
+            std::string body = workloads::httpdFileBody(size);
+            ASSERT_GT(got.size(), body.size());
+            EXPECT_EQ(got.compare(got.size() - body.size(), body.size(),
+                                  body),
+                      0);
+        }
     }
 }
 
