@@ -1,33 +1,31 @@
 /**
  * @file
- * Decoupled async taint tier payoff (see docs/ASYNC-TAINT.md): host
- * time to run the taint-dense SPEC rows with the best synchronous
- * configuration (the PR 4 fused engine plus the taint-clean fast
- * path) against the trace-ring tier, where the engine executes the
- * uninstrumented stream and a consumer thread replays propagation.
+ * Async taint tier payoff (see docs/ASYNC-TAINT.md): host time to run
+ * the taint-dense SPEC rows with the best synchronous configuration
+ * (the fused engine plus the taint-clean fast path) against the async
+ * tier, where the engine executes the uninstrumented stream and
+ * replays propagation against a shadow bitmap beside it.
  *
  * The fast path is bounded by a workload's taint share — bzip2 sits
  * at ~0.57 and vpr ~0.53 in BENCH_fastpath.json — so those rows are
- * exactly where decoupling should pay: the engine sheds the inline
- * tag work entirely and the cost moves to a second host thread. The
- * comparable quantity is host seconds inside Machine::run() for the
- * same workload; every row verifies the security observables (exit
- * status, alert count) are identical both ways.
+ * exactly where the async tier should pay: the engine sheds the
+ * inline tag work and replays only the ops its maybe-taint filter
+ * keeps. The comparable quantity is host CPU seconds inside
+ * Machine::run() for the same workload; every row verifies the
+ * security observables (exit status, alert count) are identical both
+ * ways, and a closing section replays all eight attack scenarios
+ * under the tier and requires every one detected.
  *
- * The lag is not hidden: each row reports the ring-stall count and
- * the p50/p99 fence lag (events outstanding when the engine had to
- * synchronize), and a dedicated section replays all eight attack
- * scenarios under the tier and reports the p50/p99/max lag-bounded
- * detection latency in host nanoseconds — the time between the
- * consumer flagging the violation and the engine observing it at the
- * next policy-check fence.
+ * Both arms are single-threaded, so they are timed in thread CPU
+ * seconds with benchutil::interleavedRotated; the speedup is the
+ * paired median (benchutil::pairedRatio), printed beside each arm's
+ * median and interquartile spread.
  *
  * `--smoke` runs only the bzip2 and vpr rows and exits non-zero when
  * fewer than two of them clear 1.2x the synchronous engine — the
  * perf-smoke-async CI tripwire.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -50,89 +48,63 @@ struct Measurement
     uint64_t instructions = 0;
     size_t alerts = 0;
     int64_t exitCode = 0;
-    double seconds = 0;
+    benchutil::ArmSamples samples;
     // Async-only counters (zero on the synchronous side).
     uint64_t events = 0;
     uint64_t fences = 0;
-    uint64_t ringStalls = 0;
-    uint64_t fenceLagP50 = 0; ///< events outstanding at a fence
-    uint64_t fenceLagP99 = 0;
-    uint64_t ringDepthMax = 0;
-    bool inlineConsumer = false; ///< resolved placement (Auto folds
-                                 ///< to inline on single-hart hosts)
 
+    double seconds() const { return samples.median(); }
     double mips() const
     {
-        return seconds > 0 ? double(instructions) / seconds / 1e6 : 0;
+        return seconds() > 0 ? double(instructions) / seconds() / 1e6
+                             : 0;
     }
 };
 
 struct Row
 {
     std::string name;
-    Measurement sync;  ///< PR 4 engine: fused + taint-clean fast path
-    Measurement async; ///< trace-ring tier, uninstrumented stream
+    Measurement sync;  ///< fused + taint-clean fast path
+    Measurement async; ///< async tier, uninstrumented stream
 
     /** Host-time speedup running the identical workload. */
     double speedup() const
     {
-        return async.seconds > 0 ? sync.seconds / async.seconds : 0;
+        return benchutil::pairedRatio(async.samples, sync.samples);
     }
 };
 
-/** Repeats per configuration; minimum host time wins (see
- * bench_interp for why). */
-int repeats = 3;
+/** Rounds of the interleaved estimator per row. */
+int repeats = 21;
 
-Measurement
-timeSpec(const SpecKernel &kernel, const SpecRunConfig &config)
+/** One run; checks determinism against `m`, returns CPU seconds. */
+double
+runOnce(const SpecKernel &kernel, const SpecRunConfig &config,
+        Measurement &m)
 {
-    Measurement m;
-    for (int rep = 0; rep < repeats; ++rep) {
-        SpecRun run = runSpecKernel(kernel, config);
-        const RunResult &result = run.result;
-        if (!result.ok()) {
-            std::fprintf(stderr, "bench_async: %s failed (%s: %s)\n",
-                         kernel.shortName.c_str(),
-                         faultKindName(result.fault.kind),
-                         result.fault.detail.c_str());
-            std::exit(1);
-        }
-        if (rep == 0) {
-            m.instructions = result.instructions;
-            m.alerts = result.alerts.size();
-            m.exitCode = result.exitCode;
-            m.seconds = run.runSeconds;
-            m.events = result.stats.get("dift.events");
-            m.fences = result.stats.get("dift.fences");
-            m.inlineConsumer =
-                result.stats.gauge("dift.consumer.inline") != 0;
-            if (const Histogram *lag =
-                    result.stats.histogram("dift.fence.lag.events")) {
-                m.fenceLagP50 = lag->quantile(0.50);
-                m.fenceLagP99 = lag->quantile(0.99);
-            }
-            if (const Histogram *depth =
-                    result.stats.histogram("dift.ring.depth"))
-                m.ringDepthMax = depth->max();
-            continue;
-        }
-        if (result.instructions != m.instructions ||
-            result.alerts.size() != m.alerts) {
-            std::fprintf(stderr,
-                         "bench_async: NON-DETERMINISTIC repeat on %s\n",
-                         kernel.shortName.c_str());
-            std::exit(1);
-        }
-        if (run.runSeconds < m.seconds)
-            m.seconds = run.runSeconds;
-        // Stall counts vary with host scheduling; keep the worst
-        // repeat so the report never understates backpressure.
-        uint64_t stalls = result.stats.get("dift.ring.stalls");
-        if (stalls > m.ringStalls)
-            m.ringStalls = stalls;
+    SpecRun run = runSpecKernel(kernel, config);
+    const RunResult &result = run.result;
+    if (!result.ok()) {
+        std::fprintf(stderr, "bench_async: %s failed (%s: %s)\n",
+                     kernel.shortName.c_str(),
+                     faultKindName(result.fault.kind),
+                     result.fault.detail.c_str());
+        std::exit(1);
     }
-    return m;
+    if (m.instructions == 0) {
+        m.instructions = result.instructions;
+        m.alerts = result.alerts.size();
+        m.exitCode = result.exitCode;
+        m.events = result.stats.get("dift.events");
+        m.fences = result.stats.get("dift.fences");
+    } else if (result.instructions != m.instructions ||
+               result.alerts.size() != m.alerts) {
+        std::fprintf(stderr,
+                     "bench_async: NON-DETERMINISTIC repeat on %s\n",
+                     kernel.shortName.c_str());
+        std::exit(1);
+    }
+    return run.runCpuSeconds;
 }
 
 /** Security observables must not move when the tier takes over. */
@@ -158,66 +130,53 @@ measureKernel(const std::string &shortName)
     Row row;
     row.name = "spec/" + shortName;
 
-    SpecRunConfig config;
-    config.mode = TrackingMode::Shift;
-    config.granularity = Granularity::Byte;
-    config.taintInput = true;
-    config.engine = ExecEngine::Predecoded;
-
+    SpecRunConfig syncConfig;
+    syncConfig.mode = TrackingMode::Shift;
+    syncConfig.granularity = Granularity::Byte;
+    syncConfig.taintInput = true;
+    syncConfig.engine = ExecEngine::Predecoded;
     // Synchronous side: the strongest inline configuration we have —
-    // fused taint micro-ops plus the dual-version fast path (PR 4).
-    config.fastPath = true;
-    row.sync = timeSpec(kernel, config);
+    // fused taint micro-ops plus the dual-version fast path.
+    syncConfig.fastPath = true;
 
-    // Async side: the fast path hands the taint tier to the consumer
-    // thread wholesale (the two are mutually exclusive by design).
-    config.fastPath = false;
-    config.async.enabled = true;
-    row.async = timeSpec(kernel, config);
+    // Async side: the fast path and the async tier both replace the
+    // inline taint tier, so they are mutually exclusive by design.
+    SpecRunConfig asyncConfig = syncConfig;
+    asyncConfig.fastPath = false;
+    asyncConfig.async.enabled = true;
 
+    std::vector<benchutil::ArmSamples> arms = benchutil::interleavedRotated(
+        repeats,
+        {[&] { return runOnce(kernel, syncConfig, row.sync); },
+         [&] { return runOnce(kernel, asyncConfig, row.async); }});
+    row.sync.samples = arms[0];
+    row.async.samples = arms[1];
     checkIdentity(row);
     return row;
 }
 
-/**
- * Lag-bounded detection latency: replay every attack scenario under
- * the tier and collect the host nanoseconds between the consumer
- * flagging the violation and the engine observing it at its next
- * policy fence (`dift.lag.detect.ns`, one sample per condemned run).
- */
-Histogram
-measureDetectionLatency(int rounds)
+/** Every attack must still be detected under the tier. */
+void
+checkAttacks()
 {
-    Histogram latency;
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    // Force the threaded consumer: with the inline placement (the
-    // Auto resolution on single-hart hosts) detection is immediate
-    // and the "latency" would only time the fence bookkeeping.
-    async.consumer = dift::AsyncConsumer::Thread;
-    for (int round = 0; round < rounds; ++round) {
-        for (const AttackScenario &scenario : attackScenarios()) {
-            AttackRun run = runAttackScenario(
-                scenario, true, Granularity::Byte,
-                ExecEngine::Predecoded, {}, false, async);
-            if (!run.detected) {
-                std::fprintf(stderr,
-                             "bench_async: attack %s NOT DETECTED "
-                             "under the async tier\n",
-                             scenario.name.c_str());
-                std::exit(1);
-            }
-            const Histogram *h =
-                run.result.stats.histogram("dift.lag.detect.ns");
-            if (h)
-                latency.merge(*h);
+    for (const AttackScenario &scenario : attackScenarios()) {
+        AttackRun run = runAttackScenario(scenario, true, Granularity::Byte,
+                                          ExecEngine::Predecoded, {}, false,
+                                          async);
+        if (!run.detected) {
+            std::fprintf(stderr,
+                         "bench_async: attack %s NOT DETECTED under the "
+                         "async tier\n",
+                         scenario.name.c_str());
+            std::exit(1);
         }
     }
-    return latency;
 }
 
 void
-writeJson(const std::vector<Row> &rows, const Histogram &latency)
+writeJson(const std::vector<Row> &rows)
 {
     FILE *f = std::fopen("BENCH_async.json", "w");
     if (!f) {
@@ -225,7 +184,10 @@ writeJson(const std::vector<Row> &rows, const Histogram &latency)
                      "bench_async: cannot write BENCH_async.json\n");
         return;
     }
-    std::fprintf(f, "{\n  \"workloads\": [\n");
+    std::fprintf(f, "{\n  \"timing\": \"thread CPU seconds, %d "
+                    "interleaved rotated rounds, paired median\",\n"
+                    "  \"workloads\": [\n",
+                 repeats);
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::fprintf(
@@ -233,34 +195,19 @@ writeJson(const std::vector<Row> &rows, const Histogram &latency)
             "    {\"name\": \"%s\", "
             "\"mips_sync\": %.2f, \"mips_async\": %.2f, "
             "\"host_speedup\": %.3f, "
+            "\"spread_sync\": %.3f, \"spread_async\": %.3f, "
             "\"instrs_sync\": %llu, \"instrs_async\": %llu, "
-            "\"events\": %llu, \"fences\": %llu, "
-            "\"ring_stalls\": %llu, "
-            "\"fence_lag_p50_events\": %llu, "
-            "\"fence_lag_p99_events\": %llu, "
-            "\"ring_depth_max\": %llu, "
-            "\"consumer\": \"%s\"}%s\n",
+            "\"events\": %llu, \"fences\": %llu}%s\n",
             r.name.c_str(), r.sync.mips(), r.async.mips(), r.speedup(),
+            r.sync.samples.spread(),
+            r.async.samples.spread(),
             (unsigned long long)r.sync.instructions,
             (unsigned long long)r.async.instructions,
             (unsigned long long)r.async.events,
             (unsigned long long)r.async.fences,
-            (unsigned long long)r.async.ringStalls,
-            (unsigned long long)r.async.fenceLagP50,
-            (unsigned long long)r.async.fenceLagP99,
-            (unsigned long long)r.async.ringDepthMax,
-            r.async.inlineConsumer ? "inline" : "thread",
             i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f,
-                 "  ],\n  \"detect_latency\": {"
-                 "\"consumer\": \"thread\", "
-                 "\"samples\": %llu, \"p50_ns\": %llu, "
-                 "\"p99_ns\": %llu, \"max_ns\": %llu}\n}\n",
-                 (unsigned long long)latency.count(),
-                 (unsigned long long)latency.quantile(0.50),
-                 (unsigned long long)latency.quantile(0.99),
-                 (unsigned long long)latency.max());
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_async.json\n");
 }
@@ -276,16 +223,16 @@ main(int argc, char **argv)
             smoke = true;
     }
 
-    std::printf("\n=== Decoupled async taint tier: host time, "
-                "sync fast-path engine vs trace-ring consumer ===\n");
-    std::printf("%-12s %11s %11s %9s %8s %10s %10s\n", "workload",
-                "MIPS sync", "MIPS async", "speedup", "stalls",
-                "lag p50", "lag p99");
+    std::printf("\n=== Async taint tier: host CPU time, sync fast-path "
+                "engine vs async tier ===\n");
+    std::printf("%-12s %11s %11s %9s %9s %9s\n", "workload",
+                "MIPS sync", "MIPS async", "speedup", "IQR sync",
+                "IQR async");
     benchutil::rule(76);
 
     // The floor rows are the taint-dense kernels where the fast path
     // is bounded by taint share; the full run covers every kernel so
-    // the trajectory records where decoupling does NOT pay too.
+    // the trajectory records where the tier does NOT pay too.
     std::vector<std::string> names = {"bzip2", "vpr"};
     if (!smoke) {
         names.clear();
@@ -298,38 +245,25 @@ main(int argc, char **argv)
         rows.push_back(measureKernel(name));
 
     for (const Row &r : rows) {
-        std::printf("%-12s %11.1f %11.1f %8.2fx %8llu %10llu %10llu\n",
+        std::printf("%-12s %11.1f %11.1f %8.2fx %8.1f%% %8.1f%%\n",
                     r.name.c_str(), r.sync.mips(), r.async.mips(),
-                    r.speedup(),
-                    (unsigned long long)r.async.ringStalls,
-                    (unsigned long long)r.async.fenceLagP50,
-                    (unsigned long long)r.async.fenceLagP99);
+                    r.speedup(), 100.0 * r.sync.samples.spread(),
+                    100.0 * r.async.samples.spread());
         registerMetricRow("async/" + r.name,
                           {{"mips_sync", r.sync.mips()},
                            {"mips_async", r.async.mips()},
-                           {"host_speedup_X", r.speedup()},
-                           {"ring_stalls", double(r.async.ringStalls)},
-                           {"fence_lag_p99_events",
-                            double(r.async.fenceLagP99)}});
+                           {"host_speedup_X", r.speedup()}});
     }
     benchutil::rule(76);
-    std::printf("(verdicts verified identical on every row; lag "
-                "columns are fence-lag percentiles in events)\n\n");
+    std::printf("(speedup = median over %d interleaved rotated rounds of "
+                "the paired time ratio; MIPS from each arm's median; "
+                "verdicts verified identical on every row)\n",
+                repeats);
 
-    Histogram latency = measureDetectionLatency(smoke ? 2 : 5);
-    std::printf("lag-bounded detection latency over %llu condemned "
-                "runs (8 attacks x %d rounds):\n"
-                "  p50 %llu ns   p99 %llu ns   max %llu ns\n\n",
-                (unsigned long long)latency.count(), smoke ? 2 : 5,
-                (unsigned long long)latency.quantile(0.50),
-                (unsigned long long)latency.quantile(0.99),
-                (unsigned long long)latency.max());
-    registerMetricRow("async/detect_latency",
-                      {{"p50_ns", double(latency.quantile(0.50))},
-                       {"p99_ns", double(latency.quantile(0.99))},
-                       {"max_ns", double(latency.max())}});
+    checkAttacks();
+    std::printf("all 8 attacks detected under the async tier\n\n");
 
-    writeJson(rows, latency);
+    writeJson(rows);
 
     if (smoke) {
         int cleared = 0;

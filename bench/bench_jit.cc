@@ -14,11 +14,15 @@
  *
  * Compile time is NOT excluded: each timed run builds a fresh
  * session, pays the promotion warm-up and the compile inside
- * Machine::run(), exactly as a first-run user would.
+ * Machine::run(), exactly as a first-run user would. Compilation runs
+ * on the engine thread, so both arms are timed in thread CPU seconds
+ * in interleaved, rotated rounds (benchutil::interleavedRotated); the
+ * speedup is the paired median (benchutil::pairedRatio) and MIPS use
+ * each arm's median.
  *
- * `--smoke` runs two SPEC kernels + a small httpd serve once and
+ * `--smoke` runs two SPEC kernels + a small httpd serve and
  * exits non-zero when the JIT's geomean speedup over the interpreter
- * on the SPEC rows falls below 2.0x (the perf-smoke-jit target).
+ * on the SPEC rows falls below 1.5x (the perf-smoke-jit target).
  * On hosts without the backend (non-x86-64, -DSHIFT_ENABLE_JIT=OFF)
  * it prints a notice and exits zero — there is nothing to regress.
  */
@@ -46,8 +50,9 @@ struct Measurement
     uint64_t instructions = 0;
     uint64_t cycles = 0;
     size_t alerts = 0;
-    double seconds = 0;
-    /** Tier counters from the last run (deterministic across runs). */
+    /** Thread CPU seconds per run, one sample per round. */
+    benchutil::ArmSamples samples;
+    /** Tier counters from the warm-up run (deterministic across runs). */
     uint64_t compiled = 0;
     uint64_t entered = 0;
     uint64_t deopts = 0;
@@ -55,7 +60,8 @@ struct Measurement
 
     double mips() const
     {
-        return seconds > 0 ? double(instructions) / seconds / 1e6 : 0;
+        double s = samples.median();
+        return s > 0 ? double(instructions) / s / 1e6 : 0;
     }
 };
 
@@ -65,50 +71,30 @@ struct Row
     bool inGeomean = true; ///< SPEC rows only gate the tripwire
     Measurement interp;
     Measurement jit;
-    /** Background + lazy arm: compile off the serving thread, one
-     *  superblock at a time. Same simulation; the serving thread
-     *  never stalls on a compile and blocks never entered are never
-     *  compiled, so on short rows most of the sync arm's compile
-     *  cost disappears. */
-    Measurement jitBg;
 
+    /** Paired-median host-time speedup of the compiled tier. */
     double speedup() const
     {
-        return interp.mips() > 0 ? jit.mips() / interp.mips() : 0;
-    }
-
-    double speedupBg() const
-    {
-        return interp.mips() > 0 ? jitBg.mips() / interp.mips() : 0;
-    }
-
-    /**
-     * Fraction of the sync jit arm's wall time that `--jit-compile=bg
-     * --jit-lazy` eliminated: (t_sync - t_bg) / t_sync. On short rows
-     * the sync arm is compile-dominated, so this reads as the share
-     * of compile cost the background tier moved off the serving path;
-     * on long rows both arms converge and it tends to zero. Clamped:
-     * measurement jitter on an amortized row can make it mildly
-     * negative.
-     */
-    double compileShareSaved() const
-    {
-        if (jit.seconds <= 0)
-            return 0;
-        double saved = (jit.seconds - jitBg.seconds) / jit.seconds;
-        return saved > 0 ? saved : 0;
+        return benchutil::pairedRatio(jit.samples, interp.samples);
     }
 };
 
-int repeats = 3;
+/** Rounds of the interleaved estimator per row. */
+int repeats = 9;
 uint64_t minSampleInstrs = 4'000'000;
 
-/** Same sampling discipline as bench_interp::timeRun (see there). */
+/**
+ * Time both tiers of one row: a warm-up run each (which also records
+ * the simulated quantities and tier counters), then interleaved,
+ * rotated rounds (benchutil::interleavedRotated). One sample
+ * aggregates enough back-to-back runs to retire minSampleInstrs
+ * (benchutil::runsForInstructionFloor) and records thread CPU seconds
+ * per run; each run re-checks determinism.
+ */
 template <typename Fn>
-Measurement
-timeRun(Fn &&fn)
+void
+timeRow(Row &row, Fn &&run)
 {
-    Measurement m;
     auto checkOk = [](const RunResult &result) {
         if (!result.ok()) {
             std::fprintf(stderr, "bench_jit: run failed (%s: %s)\n",
@@ -117,62 +103,63 @@ timeRun(Fn &&fn)
             std::exit(1);
         }
     };
-    auto warm = fn();
-    checkOk(warm.result);
-    m.instructions = warm.result.instructions;
-    m.cycles = warm.result.cycles;
-    m.alerts = warm.result.alerts.size();
-    m.compiled = warm.result.stats.get("jit.compiled");
-    m.entered = warm.result.stats.get("jit.entered");
-    m.deopts = warm.result.stats.get("jit.deopts");
-    m.bailouts = warm.result.stats.get("jit.bailouts");
+    auto warm = [&](Measurement &m, bool jit) {
+        auto r = run(jit);
+        checkOk(r.result);
+        m.instructions = r.result.instructions;
+        m.cycles = r.result.cycles;
+        m.alerts = r.result.alerts.size();
+        m.compiled = r.result.stats.get("jit.compiled");
+        m.entered = r.result.stats.get("jit.entered");
+        m.deopts = r.result.stats.get("jit.deopts");
+        m.bailouts = r.result.stats.get("jit.bailouts");
+    };
+    warm(row.interp, false);
+    warm(row.jit, true);
     int runsPerSample = benchutil::runsForInstructionFloor(
-        m.instructions, minSampleInstrs);
-    for (int rep = 0; rep < repeats; ++rep) {
-        double sampleSeconds = 0;
-        for (int i = 0; i < runsPerSample; ++i) {
-            auto run = fn();
-            checkOk(run.result);
-            if (run.result.instructions != m.instructions ||
-                run.result.cycles != m.cycles ||
-                run.result.alerts.size() != m.alerts) {
-                std::fprintf(stderr,
-                             "bench_jit: NON-DETERMINISTIC repeat\n");
-                std::exit(1);
+        row.interp.instructions, minSampleInstrs);
+    auto arm = [&](const Measurement &m, bool jit) {
+        return [&, jit] {
+            double seconds = 0;
+            for (int i = 0; i < runsPerSample; ++i) {
+                auto r = run(jit);
+                checkOk(r.result);
+                if (r.result.instructions != m.instructions ||
+                    r.result.cycles != m.cycles ||
+                    r.result.alerts.size() != m.alerts) {
+                    std::fprintf(stderr,
+                                 "bench_jit: NON-DETERMINISTIC repeat\n");
+                    std::exit(1);
+                }
+                seconds += r.runCpuSeconds;
             }
-            sampleSeconds += run.runSeconds;
-        }
-        double perRun = sampleSeconds / runsPerSample;
-        if (rep == 0 || perRun < m.seconds)
-            m.seconds = perRun;
-    }
-    return m;
+            return seconds / runsPerSample;
+        };
+    };
+    std::vector<benchutil::ArmSamples> arms = benchutil::interleavedRotated(
+        repeats, {arm(row.interp, false), arm(row.jit, true)});
+    row.interp.samples = arms[0];
+    row.jit.samples = arms[1];
 }
 
 /** Abort loudly when the tiers disagree — speed without fidelity. */
 void
 checkIdentical(const Row &row)
 {
-    auto mismatch = [&](const Measurement &arm, const char *what) {
-        if (row.interp.cycles != arm.cycles ||
-            row.interp.instructions != arm.instructions ||
-            row.interp.alerts != arm.alerts) {
-            std::fprintf(stderr,
-                         "bench_jit: TIER MISMATCH on %s: interp "
-                         "{cycles=%llu instrs=%llu alerts=%zu} vs %s "
-                         "{cycles=%llu instrs=%llu alerts=%zu}\n",
-                         row.name.c_str(),
-                         (unsigned long long)row.interp.cycles,
-                         (unsigned long long)row.interp.instructions,
-                         row.interp.alerts, what,
-                         (unsigned long long)arm.cycles,
-                         (unsigned long long)arm.instructions,
-                         arm.alerts);
-            std::exit(1);
-        }
-    };
-    mismatch(row.jit, "jit");
-    mismatch(row.jitBg, "jit-bg");
+    const Measurement &a = row.interp;
+    const Measurement &b = row.jit;
+    if (a.cycles != b.cycles || a.instructions != b.instructions ||
+        a.alerts != b.alerts) {
+        std::fprintf(stderr,
+                     "bench_jit: TIER MISMATCH on %s: interp "
+                     "{cycles=%llu instrs=%llu alerts=%zu} vs jit "
+                     "{cycles=%llu instrs=%llu alerts=%zu}\n",
+                     row.name.c_str(), (unsigned long long)a.cycles,
+                     (unsigned long long)a.instructions, a.alerts,
+                     (unsigned long long)b.cycles,
+                     (unsigned long long)b.instructions, b.alerts);
+        std::exit(1);
+    }
 }
 
 Row
@@ -185,13 +172,10 @@ measureSpec(const SpecKernel &kernel)
     config.granularity = Granularity::Byte;
     config.taintInput = true;
 
-    config.jit = false;
-    row.interp = timeRun([&] { return runSpecKernel(kernel, config); });
-    config.jit = true;
-    row.jit = timeRun([&] { return runSpecKernel(kernel, config); });
-    config.jitBackground = true;
-    config.jitLazy = true;
-    row.jitBg = timeRun([&] { return runSpecKernel(kernel, config); });
+    timeRow(row, [&](bool jit) {
+        config.jit = jit;
+        return runSpecKernel(kernel, config);
+    });
     checkIdentical(row);
     return row;
 }
@@ -203,9 +187,8 @@ measureSpec(const SpecKernel &kernel)
  * requests that warm-up diluted the arms toward parity — the row
  * measured session startup, not serving throughput. At 200 requests
  * the serving loop dominates and the row reports what a long-lived
- * server sees. The smoke row stays at 5 requests deliberately: its
- * compile-dominated short window is what the compileShareSaved
- * tripwire needs.
+ * server sees. The smoke row stays at 5 requests: it is reported, not
+ * gated, and shows the compile-dominated cold start.
  */
 Row
 measureHttpd(int requests)
@@ -217,13 +200,10 @@ measureHttpd(int requests)
     config.mode = TrackingMode::Shift;
     config.requests = requests;
 
-    config.jit = false;
-    row.interp = timeRun([&] { return runHttpd(config); });
-    config.jit = true;
-    row.jit = timeRun([&] { return runHttpd(config); });
-    config.jitBackground = true;
-    config.jitLazy = true;
-    row.jitBg = timeRun([&] { return runHttpd(config); });
+    timeRow(row, [&](bool jit) {
+        config.jit = jit;
+        return runHttpd(config);
+    });
     checkIdentical(row);
     return row;
 }
@@ -243,19 +223,15 @@ writeJson(const std::vector<Row> &rows, double geomeanSpeedup)
             f,
             "    {\"name\": \"%s\", \"instructions\": %llu, "
             "\"mips_interp\": %.2f, \"mips_jit\": %.2f, "
-            "\"speedup\": %.3f, \"mips_jit_bg\": %.2f, "
-            "\"speedup_bg\": %.3f, \"compile_share_saved\": %.3f, "
-            "\"jit_compiled\": %llu, "
+            "\"speedup\": %.3f, \"jit_compiled\": %llu, "
             "\"jit_entered\": %llu, \"jit_deopts\": %llu, "
-            "\"jit_bailouts\": %llu, \"jit_compiled_bg\": %llu}%s\n",
+            "\"jit_bailouts\": %llu}%s\n",
             r.name.c_str(), (unsigned long long)r.jit.instructions,
-            r.interp.mips(), r.jit.mips(), r.speedup(), r.jitBg.mips(),
-            r.speedupBg(), r.compileShareSaved(),
+            r.interp.mips(), r.jit.mips(), r.speedup(),
             (unsigned long long)r.jit.compiled,
             (unsigned long long)r.jit.entered,
             (unsigned long long)r.jit.deopts,
             (unsigned long long)r.jit.bailouts,
-            (unsigned long long)r.jitBg.compiled,
             i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"geomean_speedup_spec\": %.3f\n}\n",
@@ -274,12 +250,8 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
     }
-    if (smoke) {
-        // Keep the min-of-3 discipline even in smoke mode: the
-        // tripwire compares two measured tiers, and a single sample
-        // per tier makes the ratio hostage to host scheduling noise.
+    if (smoke)
         minSampleInstrs = 2'000'000;
-    }
 
     if (!Machine::jitAvailable()) {
         std::printf("bench_jit: JIT backend unavailable on this "
@@ -289,10 +261,10 @@ main(int argc, char **argv)
 
     std::printf("\n=== JIT tier throughput: host MIPS, fused "
                 "interpreter vs compiled code ===\n");
-    std::printf("%-14s %8s %9s %8s %8s %7s %7s %7s %7s %8s\n",
-                "workload", "Minstrs", "MIPSintp", "MIPSjit", "MIPSbg",
-                "spdup", "spdupBg", "cmplSv", "deopts", "bailouts");
-    benchutil::rule(92);
+    std::printf("%-14s %8s %9s %8s %7s %7s %8s\n", "workload",
+                "Minstrs", "MIPSintp", "MIPSjit", "spdup", "deopts",
+                "bailouts");
+    benchutil::rule(68);
 
     std::vector<Row> rows;
     size_t specCount = smoke ? 2 : specKernels().size();
@@ -302,32 +274,26 @@ main(int argc, char **argv)
 
     std::vector<double> specSpeedups;
     for (const Row &r : rows) {
-        std::printf(
-            "%-14s %8.1f %9.1f %8.1f %8.1f %6.2fx %6.2fx %6.0f%% %7llu "
-            "%8llu\n",
-            r.name.c_str(), double(r.jit.instructions) / 1e6,
-            r.interp.mips(), r.jit.mips(), r.jitBg.mips(), r.speedup(),
-            r.speedupBg(), r.compileShareSaved() * 100,
-            (unsigned long long)r.jit.deopts,
-            (unsigned long long)r.jit.bailouts);
+        std::printf("%-14s %8.1f %9.1f %8.1f %6.2fx %7llu %8llu\n",
+                    r.name.c_str(), double(r.jit.instructions) / 1e6,
+                    r.interp.mips(), r.jit.mips(), r.speedup(),
+                    (unsigned long long)r.jit.deopts,
+                    (unsigned long long)r.jit.bailouts);
         if (r.inGeomean)
             specSpeedups.push_back(r.speedup());
         registerMetricRow("jit/" + r.name,
                           {{"mips_interp", r.interp.mips()},
                            {"mips_jit", r.jit.mips()},
                            {"speedup_X", r.speedup()},
-                           {"mips_jit_bg", r.jitBg.mips()},
-                           {"speedup_bg_X", r.speedupBg()},
-                           {"compile_share_saved", r.compileShareSaved()},
                            {"deopts", double(r.jit.deopts)},
                            {"bailouts", double(r.jit.bailouts)}});
     }
-    benchutil::rule(92);
+    benchutil::rule(68);
     double gm = geomean(specSpeedups);
-    std::printf("%-14s %30s %7.2fx   (SPEC rows only, sync arm)\n",
-                "geo.mean", "", gm);
+    std::printf("%-14s %27s %6.2fx   (SPEC rows only)\n", "geo.mean",
+                "", gm);
     std::printf("(tiers verified cycle- and alert-identical on every "
-                "row; bg arm = --jit-compile=bg --jit-lazy)\n\n");
+                "row)\n\n");
 
     registerMetricRow("jit/geomean", {{"speedup_X", gm}});
     writeJson(rows, gm);
@@ -344,38 +310,6 @@ main(int argc, char **argv)
                      gm);
         return 1;
     }
-    // Serving-path guards on the httpd row (the last row pushed).
-    // The 5-request smoke row is compile-dominated by design: the
-    // sync arm runs ~0.3x interpreter speed here (it compiles the
-    // whole server for 5 requests), and the background+lazy arm
-    // recovers to ~0.7x by keeping compilation off the serving
-    // thread and compiling only entered blocks. A broken bg tier
-    // (worker not draining, lazy slots dead, builtin return linking
-    // lost) collapses back to the sync arm's ~0.3x, so 0.45x
-    // separates the two regimes with room for host noise. The
-    // share-saved floor is a third against the ~50-60% the bg arm
-    // actually removes from the sync row's wall time.
-    if (smoke) {
-        const Row &httpd = rows.back();
-        if (httpd.speedupBg() < 0.45) {
-            std::fprintf(stderr,
-                         "perf-smoke-jit FAIL: httpd bg arm at %.2fx "
-                         "interpreter (floor 0.45x) — builtin return "
-                         "linking or lazy compilation regressed\n",
-                         httpd.speedupBg());
-            return 1;
-        }
-        if (httpd.compileShareSaved() < 0.33) {
-            std::fprintf(stderr,
-                         "perf-smoke-jit FAIL: bg+lazy arm saved only "
-                         "%.0f%% of the sync httpd row's wall time "
-                         "(floor 33%%) — background compilation "
-                         "regressed\n",
-                         httpd.compileShareSaved() * 100);
-            return 1;
-        }
-    }
-
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

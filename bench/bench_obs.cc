@@ -4,12 +4,13 @@
  * recorder charges the interpreter hot loop, measured on the httpd
  * workload in three configurations:
  *
- *  - baseline: recorder off. run() dispatches the kObs=false template
- *    instantiation, whose emit sites compile out entirely — the
- *    production configuration.
+ *  - baseline: recorder off. run() dispatches the kObserved=false
+ *    template instantiation, whose emit sites compile out entirely —
+ *    the production configuration.
  *  - dispatch: recorder still off, but Machine::setObsDispatchForced
- *    pins the kObs=true instantiation, so every emit site executes its
- *    null-observer branch. This is the guarded quantity: the whole
+ *    pins the kObserved=true instantiation, so every emit site
+ *    executes its null-observer branch and every profiler bracket its
+ *    null-profiler branch. This is the guarded quantity: the whole
  *    off-by-default contract is that these branches are all a
  *    disabled recorder could ever cost, and they must be noise.
  *  - recording: the recorder enabled with the default ring, tracing
@@ -30,10 +31,11 @@
  * perf-smoke-obs CI tripwire behind the "single branch on a disabled
  * recorder" claim. The gate intentionally stays on the like-for-like
  * interpreter pair: both arms must retire the same dispatch stream
- * for a 2% ceiling to mean anything.
+ * for a 2% ceiling to mean anything. Every arm is timed in thread CPU
+ * seconds with benchutil::interleavedRotated; MIPS columns use each
+ * arm's median, overheads the paired median (benchutil::pairedRatio).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -63,22 +65,23 @@ struct Measurement
     }
 };
 
-/** Repeats per configuration; minimum host time wins (see
- * bench_interp for why). A 2% floor needs the extra repeats even in
- * smoke mode. */
-int repeats = 7;
+/** Rounds of the interleaved estimator: the 2% ceiling needs the
+ * paired median's spread well under 1%, which 201 rounds of this
+ * short serve give on a noisy shared host. */
+int repeats = 201;
 
 enum class ObsConfig
 {
-    Baseline,     ///< recorder off, kObs=false instantiation
-    Dispatch,     ///< recorder off, kObs=true forced (null observer)
+    Baseline,     ///< recorder off, kObserved=false instantiation
+    Dispatch,     ///< recorder off, kObserved=true forced (null observer)
     Recording,    ///< recorder on, default ring
     BaselineJit,  ///< recorder off, compiled tier active
     RecordingJit, ///< recorder on + jit requested (forces interpreter)
 };
 
-/** One timed run; records into `m` (min host time across calls). */
-void
+/** One timed run: checks determinism against `m` and returns the
+ * run's thread CPU seconds. */
+double
 runOnce(ObsConfig config, int requests, Measurement &m)
 {
     if (config == ObsConfig::Recording ||
@@ -100,11 +103,9 @@ runOnce(ObsConfig config, int requests, Measurement &m)
     if (config == ObsConfig::Dispatch)
         session.machine().setObsDispatchForced(true);
 
-    auto start = std::chrono::steady_clock::now();
+    double start = benchutil::threadCpuSeconds();
     RunResult result = session.run();
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+    double seconds = benchutil::threadCpuSeconds() - start;
 
     if (config == ObsConfig::Recording ||
         config == ObsConfig::RecordingJit)
@@ -116,35 +117,18 @@ runOnce(ObsConfig config, int requests, Measurement &m)
                      result.fault.detail.c_str());
         std::exit(1);
     }
-    if (m.seconds == 0) {
+    if (m.instructions == 0) {
         m.instructions = result.instructions;
         m.cycles = result.cycles;
-        m.seconds = seconds;
         m.events = result.stats.get("obs.events");
-        return;
-    }
-    // Same program, same inputs: the simulated quantities must not
-    // move across repeats or observability configurations.
-    if (result.instructions != m.instructions ||
-        result.cycles != m.cycles) {
+    } else if (result.instructions != m.instructions ||
+               result.cycles != m.cycles) {
+        // Same program, same inputs: the simulated quantities must
+        // not move across repeats or observability configurations.
         std::fprintf(stderr, "bench_obs: NON-DETERMINISTIC repeat\n");
         std::exit(1);
     }
-    if (seconds < m.seconds)
-        m.seconds = seconds;
-}
-
-/**
- * Measure a configuration alone (used for the recording row, where
- * interleaving would leave a recorder active across configs).
- */
-Measurement
-measure(ObsConfig config, int requests)
-{
-    Measurement m;
-    for (int rep = 0; rep < repeats; ++rep)
-        runOnce(config, requests, m);
-    return m;
+    return seconds;
 }
 
 void
@@ -198,22 +182,29 @@ main(int argc, char **argv)
                 "seconds", "overhead");
     benchutil::rule(56);
 
-    // Interleave the baseline/dispatch repeats so host frequency
-    // drift hits both configurations equally — a 2% ceiling cannot
-    // survive measuring one config entirely after the other.
+    // Every arm runs inside the shared estimator; each run enables
+    // and disables its own recorder, so interleaving is safe.
     Measurement base;
     Measurement dispatch;
-    for (int rep = 0; rep < repeats; ++rep) {
-        runOnce(ObsConfig::Baseline, requests, base);
-        runOnce(ObsConfig::Dispatch, requests, dispatch);
+    Measurement recording;
+    Measurement baseJit;
+    Measurement recordingJit;
+    auto arm = [&](ObsConfig config, Measurement &m) {
+        return [&, config] { return runOnce(config, requests, m); };
+    };
+    std::vector<std::function<double()>> armFns = {
+        arm(ObsConfig::Baseline, base), arm(ObsConfig::Dispatch, dispatch)};
+    if (!smoke) {
+        armFns.push_back(arm(ObsConfig::Recording, recording));
+        armFns.push_back(arm(ObsConfig::BaselineJit, baseJit));
+        armFns.push_back(arm(ObsConfig::RecordingJit, recordingJit));
     }
-    Measurement recording =
-        smoke ? Measurement{} : measure(ObsConfig::Recording, requests);
-    Measurement baseJit = smoke ? Measurement{}
-                                : measure(ObsConfig::BaselineJit, requests);
-    Measurement recordingJit =
-        smoke ? Measurement{}
-              : measure(ObsConfig::RecordingJit, requests);
+    std::vector<benchutil::ArmSamples> arms =
+        benchutil::interleavedRotated(repeats, armFns);
+    Measurement *measured[] = {&base, &dispatch, &recording, &baseJit,
+                               &recordingJit};
+    for (size_t a = 0; a < arms.size(); ++a)
+        measured[a]->seconds = arms[a].median();
 
     // Cross-configuration identity: observability must never change
     // what the simulation computes. The JIT rows share the invariant:
@@ -231,18 +222,13 @@ main(int argc, char **argv)
         return 1;
     }
 
-    double dispatchOverhead = base.seconds > 0
-                                  ? dispatch.seconds / base.seconds - 1.0
-                                  : 0;
-    double recordingOverhead = base.seconds > 0 && !smoke
-                                   ? recording.seconds / base.seconds - 1.0
-                                   : 0;
+    double dispatchOverhead = benchutil::pairedRatio(arms[0], arms[1]) - 1;
+    double recordingOverhead =
+        smoke ? 0 : benchutil::pairedRatio(arms[0], arms[2]) - 1;
     // Against the tier the deployment actually runs: what tracing
     // costs when enabling it also forfeits compiled code.
     double recordingJitOverhead =
-        baseJit.seconds > 0 && !smoke
-            ? recordingJit.seconds / baseJit.seconds - 1.0
-            : 0;
+        smoke ? 0 : benchutil::pairedRatio(arms[3], arms[4]) - 1;
 
     std::printf("%-18s %12.1f %12.4f %9s\n", "baseline (off)",
                 base.mips(), base.seconds, "—");
@@ -262,6 +248,13 @@ main(int argc, char **argv)
                     recordingJit.seconds, 100.0 * recordingJitOverhead);
     }
     benchutil::rule(56);
+    std::printf("thread CPU time, %d interleaved rotated rounds "
+                "(overhead = median paired ratio):\n",
+                repeats);
+    const char *labels[] = {"baseline", "forced dispatch", "recording",
+                            "baseline + jit", "recording + jit"};
+    for (size_t a = 0; a < arms.size(); ++a)
+        benchutil::printArm(labels[a], arms[a]);
     std::printf("(simulated instructions and cycles verified identical "
                 "across configurations)\n\n");
 

@@ -2,13 +2,14 @@
  * @file
  * Tier-attribution profiler cost and payoff (docs/OBSERVABILITY.md):
  *
- *  - Cost: what `options.profile` charges the engine. The disabled
- *    profiler is a separate runDecoded instantiation — the production
- *    path is untouched — so the guarded quantity is the off-arm's
- *    host time against the no-obs baseline (the same configuration;
- *    the gate catches the contract drifting, e.g. profiler checks
- *    leaking into the production instantiation). The enabled cost is
- *    reported alongside for scale.
+ *  - Cost: what `options.profile` charges the engine. A disabled
+ *    profiler leaves run() on the production runDecoded
+ *    instantiation — the profiler rides the observed one — so the
+ *    guarded quantity is the off-arm's host time against the no-obs
+ *    baseline (the same configuration; the gate catches the contract
+ *    drifting, e.g. profiler checks leaking into the production
+ *    instantiation). The enabled cost is reported alongside for
+ *    scale.
  *  - Payoff: per-tier host-time attribution for every SPEC kernel
  *    under the async tier (the regime where PR 9's crafty regression
  *    had to be diagnosed with out-of-tree gprof), a JIT row, and
@@ -21,10 +22,11 @@
  * `--smoke` (the perf-smoke-prof CI tripwire) runs the httpd
  * off-vs-baseline interleave with the 2% ceiling, plus the crafty
  * attribution floor: the async-publish tier must carry >=20% of the
- * run, reproducing the pinned gprof diagnosis in-tree.
+ * run, reproducing the pinned gprof diagnosis in-tree. The arms are
+ * timed in thread CPU seconds with benchutil::interleavedRotated and
+ * compared by their paired median (benchutil::pairedRatio).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,14 +45,12 @@ using namespace shift;
 using namespace shift::workloads;
 using benchutil::registerMetricRow;
 
-/** Repeats per timed configuration; minimum host time wins (see
- * bench_interp for why). The 2% ceiling compares two IDENTICAL
- * configurations, so every percent of min-of-N scatter is a flake.
- * Observed per-run noise on shared hosts is additive and heavy
- * (tens of percent of CPU-steal inflation), which is exactly the
- * regime where the minimum converges to the true floor — given
- * enough repeats, hence far more than the other benches use. */
-int repeats = 41;
+/** Rounds of the interleaved estimator for the gated pair. The 2%
+ * ceiling compares two IDENTICAL configurations, so every percent of
+ * estimator scatter is a flake: the paired median needs its spread
+ * well under 1%. The enabled cost is only reported and gets fewer. */
+int repeats = 151;
+int enabledRepeats = 31;
 
 struct Measurement
 {
@@ -147,11 +147,11 @@ enum class ProfConfig
 {
     Baseline, ///< the no-obs production configuration
     Off,      ///< identical options; the disabled-profiler contract arm
-    On,       ///< options.profile: the kProf instantiation, live table
+    On,       ///< options.profile: the observed loop, live table
 };
 
-/** One timed httpd run; folds into `m` (min host time) and returns
- * this run's seconds for the paired-ratio overhead estimate. */
+/** One timed httpd run: checks determinism against `m` and returns
+ * the run's thread CPU seconds. */
 double
 runHttpdOnce(ProfConfig config, int requests, Measurement &m,
              TierRow *row)
@@ -165,11 +165,9 @@ runHttpdOnce(ProfConfig config, int requests, Measurement &m,
     for (int i = 0; i < requests; ++i)
         session.os().queueConnection(kHttpdRequest);
 
-    auto start = std::chrono::steady_clock::now();
+    double start = benchutil::threadCpuSeconds();
     RunResult result = session.run();
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+    double seconds = benchutil::threadCpuSeconds() - start;
 
     if (!result.ok()) {
         std::fprintf(stderr, "bench_prof: httpd run failed (%s: %s)\n",
@@ -177,20 +175,15 @@ runHttpdOnce(ProfConfig config, int requests, Measurement &m,
                      result.fault.detail.c_str());
         std::exit(1);
     }
-    if (m.seconds == 0) {
+    if (m.instructions == 0) {
         m.instructions = result.instructions;
         m.cycles = result.cycles;
-        m.seconds = seconds;
-    } else {
+    } else if (result.instructions != m.instructions ||
+               result.cycles != m.cycles) {
         // Same program, same inputs: the simulated quantities must
         // not move across repeats or profiler configurations.
-        if (result.instructions != m.instructions ||
-            result.cycles != m.cycles) {
-            std::fprintf(stderr, "bench_prof: NON-DETERMINISTIC repeat\n");
-            std::exit(1);
-        }
-        if (seconds < m.seconds)
-            m.seconds = seconds;
+        std::fprintf(stderr, "bench_prof: NON-DETERMINISTIC repeat\n");
+        std::exit(1);
     }
     if (row && config == ProfConfig::On) {
         *row = tierRowFrom("httpd", result);
@@ -313,44 +306,36 @@ main(int argc, char **argv)
                 "seconds", "overhead");
     benchutil::rule(56);
 
-    // Interleave all three arms so host frequency drift hits every
-    // configuration equally, and rotate the order each repeat —
-    // baseline and off are identical configurations, so any
-    // systematic difference between them is pure measurement bias,
-    // and a fixed order was observed to bake in several percent.
+    // Baseline and off are identical configurations, so any
+    // systematic difference between them is measurement bias. The
+    // gated pair runs alone, so each of its arms follows the other
+    // equally often; in a three-arm rotation the baseline would
+    // always run right after a profiled run.
     Measurement base;
     Measurement off;
     Measurement on;
     TierRow httpdRow;
-    for (int rep = 0; rep < repeats; ++rep) {
-        ProfConfig order[3] = {ProfConfig::Baseline, ProfConfig::Off,
-                               ProfConfig::On};
-        double secs[3] = {0, 0, 0};
-        for (int slot = 0; slot < 3; ++slot) {
-            ProfConfig config = order[(slot + rep) % 3];
-            Measurement &m = config == ProfConfig::Baseline ? base
-                             : config == ProfConfig::Off    ? off
-                                                            : on;
-            secs[int(config)] = runHttpdOnce(
-                config, requests, m,
-                config == ProfConfig::On ? &httpdRow : nullptr);
-        }
-        if (std::getenv("BENCH_PROF_DEBUG"))
-            std::fprintf(stderr, "rep %d: base %.4f off %.4f on %.4f\n",
-                         rep, secs[0], secs[1], secs[2]);
-    }
-
-    // Ratio of per-arm minima. The host noise here is additive (runs
-    // only ever get SLOWER than the true cost — scheduler preemption,
-    // frequency dips), so the minimum over many interleaved repeats
-    // converges to each arm's noise-free floor, and their ratio is the
-    // one estimator that does not inherit the per-run scatter. Paired
-    // per-rep ratios were tried first and flaked: adjacent runs do NOT
-    // see the same host conditions when the noise decorrelates faster
-    // than a single run (observed per-rep ratios spanned 0.72–1.12 on
-    // identical configurations).
-    double disabledOverhead = off.seconds / base.seconds - 1.0;
-    double enabledOverhead = on.seconds / base.seconds - 1.0;
+    auto arm = [&](ProfConfig config, Measurement &m) {
+        return [&, config] {
+            return runHttpdOnce(config, requests, m,
+                                config == ProfConfig::On ? &httpdRow
+                                                         : nullptr);
+        };
+    };
+    std::vector<benchutil::ArmSamples> gated = benchutil::interleavedRotated(
+        repeats,
+        {arm(ProfConfig::Baseline, base), arm(ProfConfig::Off, off)});
+    std::vector<benchutil::ArmSamples> enabled =
+        benchutil::interleavedRotated(
+            enabledRepeats,
+            {arm(ProfConfig::Baseline, base), arm(ProfConfig::On, on)});
+    base.seconds = gated[0].median();
+    off.seconds = gated[1].median();
+    on.seconds = enabled[1].median();
+    double disabledOverhead =
+        benchutil::pairedRatio(gated[0], gated[1]) - 1;
+    double enabledOverhead =
+        benchutil::pairedRatio(enabled[0], enabled[1]) - 1;
 
     std::printf("%-18s %12.1f %12.4f %9s\n", "baseline (no obs)",
                 base.mips(), base.seconds, "—");
@@ -359,6 +344,13 @@ main(int argc, char **argv)
     std::printf("%-18s %12.1f %12.4f %+9.1f%%\n", "profile on",
                 on.mips(), on.seconds, 100.0 * enabledOverhead);
     benchutil::rule(56);
+    std::printf("thread CPU time, %d (off) / %d (on) interleaved "
+                "rotated rounds against the baseline (overhead = median "
+                "paired ratio):\n",
+                repeats, enabledRepeats);
+    benchutil::printArm("baseline", gated[0]);
+    benchutil::printArm("profile off", gated[1]);
+    benchutil::printArm("profile on", enabled[1]);
     std::printf("(simulated instructions and cycles verified identical "
                 "across configurations)\n\n");
 

@@ -57,8 +57,8 @@ class TaintMap
      * value written. The async taint tier installs one so host-side
      * taint sources (input hooks, wrap functions) reach its shadow as
      * well as simulated memory. Callers must only write through the
-     * map while the consumer is quiesced (machine construction or a
-     * fence).
+     * map outside the engine's dispatch loop (machine construction or
+     * a fence).
      */
     void
     setMirror(std::function<void(uint64_t, unsigned, bool)> mirror)

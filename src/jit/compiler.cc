@@ -132,8 +132,8 @@ isTerminator(Opcode op)
 bool
 isExitOp(const DecodedInstr &dp, const CompileEnv &env)
 {
-    // Under the decoupled taint tier (docs/ASYNC-TAINT.md) some ops
-    // always emit a consumer event or diverge from the synchronous
+    // Under the async taint tier (docs/ASYNC-TAINT.md) some ops
+    // always run a replay or diverge from the synchronous
     // semantics the bodies below encode, independent of register
     // state: annotated (tracked/relaxed) and fill loads, tracked
     // stores and spills, the div-by-zero fence path, and anything
@@ -187,9 +187,9 @@ isExitOp(const DecodedInstr &dp, const CompileEnv &env)
  * Async-tier guard set: the registers whose maybe-taint (NaT) bits
  * must all be clear for the synchronous lowering of this op to
  * coincide with the async interpreter's — a set bit means the
- * interpreter would emit (or a filter would keep) a consumer event,
+ * interpreter would run (or a filter would keep) a replay,
  * so compiled code bails to it instead. Exactly the complement of
- * the event filter's provably-dropped cases: ALU writes guard both
+ * the replay filter's provably-dropped cases: ALU writes guard both
  * sources and the overwritten destination, plain loads/stores their
  * address/source/destination, the branch/unat moves their single
  * operand. Cmp/Tnat/Tbit need no guard (their async bodies read
@@ -379,32 +379,6 @@ struct PendingCharges
     }
 };
 
-/**
- * void thunk(JitCtx *rdi, const void *rsi): establish the fixed
- * register plan and tail-jump to a block entry. The stack stays
- * 16-aligned at every emitted call site. Whole-function buffers carry
- * this at offset 0; the lazy tier compiles it once standalone
- * (compileEntryThunk) and pairs it with every block entry.
- */
-void
-emitEntryThunk(Emitter &e)
-{
-    e.push(RBX);
-    e.push(RBP);
-    e.push(R12);
-    e.push(R13);
-    e.push(R14);
-    e.push(R15);
-    e.aluRegImm32(Emitter::ALU_SUB, RSP, 8);
-    e.movRegReg(R15, RDI);
-    e.movRegMem(R14, R15, kOffGpr);
-    e.movRegMem(R13, R15, kOffPred);
-    e.movRegMem(R12, R15, kOffCyFlat);
-    e.movRegMem(RBX, R15, kOffInFlat);
-    e.movRegMem(RBP, R15, kOffLoadMask);
-    e.jmpReg(RSI);
-}
-
 /** Static knowledge of the live load-use mask (rbp). */
 struct MaskState
 {
@@ -415,6 +389,58 @@ struct MaskState
     static MaskState zero() { return {Zero, 0}; }
     static MaskState load(uint16_t r) { return {Load, r}; }
 };
+
+/**
+ * Leader marking: branch/check targets, terminator successors and
+ * probe deopt pcs, for both streams. False = malformed control flow
+ * (an out-of-range target); such a function is uncompilable.
+ */
+bool
+computeLeaders(const DecodedFunction &df, const CompileEnv &env,
+               std::vector<uint8_t> &slowLead,
+               std::vector<uint8_t> &fastLead)
+{
+    const auto &slow = df.code;
+    const auto &fast = df.fast;
+    if (slow.empty())
+        return false;
+    slowLead.assign(slow.size(), 0);
+    fastLead.assign(fast.size(), 0);
+    slowLead[0] = 1;
+    if (!fast.empty())
+        fastLead[0] = 1;
+    // Leaders: targets, terminator successors, probe deopt pcs.
+    auto mark = [&](const std::vector<DecodedInstr> &s, bool inFast) {
+        for (size_t i = 0; i < s.size(); ++i) {
+            const DecodedInstr &dp = s[i];
+            if (isTerminator(dp.op) && i + 1 < s.size())
+                (inFast ? fastLead : slowLead)[i + 1] = 1;
+            if (dp.op == Opcode::Br || dp.op == Opcode::Chk) {
+                auto t = size_t(dp.target);
+                if (t >= s.size())
+                    return false;
+                (inFast ? fastLead : slowLead)[t] = 1;
+                if (!inFast && env.fastEnabled && !df.fast.empty()) {
+                    int32_t fe = df.fastEntry[t];
+                    if (fe >= 0)
+                        fastLead[size_t(fe)] = 1;
+                }
+            }
+            if (inFast && isProbeOp(dp.op)) {
+                auto t = size_t(dp.target);
+                if (t >= df.code.size())
+                    return false;
+                slowLead[t] = 1;
+            }
+        }
+        return true;
+    };
+    if (!mark(slow, false))
+        return false;
+    if (!fast.empty() && !mark(fast, true))
+        return false;
+    return true;
+}
 
 class FunctionCompiler
 {
@@ -450,61 +476,6 @@ class FunctionCompiler
         return true;
     }
 
-    /**
-     * Lazy tier: emit the single block led by (inFast, start), entry
-     * at offset 0 (the cache's shared entry thunk supplies the
-     * register-plan prologue). Every out-edge compiles to a stub that
-     * probes the target's publication slot and falls back to the
-     * blockLink helper, so blocks stitch together as they are
-     * published. False = malformed stream or `start` is not a leader.
-     */
-    bool emitLazyBlock(CompiledFunction &out, int funcIndex,
-                       bool inFast, size_t start,
-                       const std::atomic<const void *> *slowSlots,
-                       const std::atomic<const void *> *fastSlots,
-                       const std::vector<uint8_t> &slowLead,
-                       const std::vector<uint8_t> &fastLead)
-    {
-        // Leaders come precomputed from the LazyFunction (validated
-        // at its creation): recomputing them per block compile made
-        // lazy compilation O(blocks x function size).
-        slowLead_ = slowLead;
-        fastLead_ = fastLead;
-        const auto &s = inFast ? df_.fast : df_.code;
-        const auto &lead = inFast ? fastLead_ : slowLead_;
-        if (start >= s.size() || !lead[start])
-            return false;
-        size_t end = start;
-        while (true) {
-            if (isTerminator(s[end].op)) {
-                ++end;
-                break;
-            }
-            ++end;
-            if (end >= s.size())
-                return false; // fell off without a sentinel
-            if (lead[end])
-                break;
-        }
-        lazy_ = true;
-        lazyFunc_ = funcIndex;
-        lazyInFast_ = inFast;
-        lazyStart_ = start;
-        slowSlots_ = slowSlots;
-        fastSlots_ = fastSlots;
-        epilogue_ = e_.newLabel();
-        lazyEntry_ = e_.newLabel();
-        std::vector<int32_t> entry(s.size(), -1);
-        if (!emitBlock(s, inFast, start, end, entry))
-            return false;
-        emitLazyEdges();
-        emitRefundStubs();
-        emitEpilogue();
-        e_.finalize();
-        out.blocks = blocks_;
-        return true;
-    }
-
     const Emitter &emitter() const { return e_; }
 
   private:
@@ -517,23 +488,6 @@ class FunctionCompiler
     uint32_t blocks_ = 0;
     PendingCharges pending_;
     MaskState mask_;
-
-    // Lazy per-block mode (emitLazyBlock): out-edges become slot-probe
-    // stubs instead of intra-buffer label jumps.
-    bool lazy_ = false;
-    int lazyFunc_ = 0;
-    bool lazyInFast_ = false;
-    size_t lazyStart_ = 0;
-    int lazyEntry_ = -1;
-    const std::atomic<const void *> *slowSlots_ = nullptr;
-    const std::atomic<const void *> *fastSlots_ = nullptr;
-    struct LazyEdge
-    {
-        int label;
-        bool inFast;
-        uint32_t pc;
-    };
-    std::vector<LazyEdge> lazyEdges_;
 
     struct RefundStub
     {
@@ -563,20 +517,31 @@ class FunctionCompiler
             inFast ? fastLead_ : slowLead_;
         SHIFT_ASSERT(pc < lead.size() && lead[pc],
                      "jit jump to a non-leader pc");
-        if (!lazy_)
-            return (inFast ? fastLbl_ : slowLbl_)[pc];
-        // Lazy mode: the block's own head loops back directly; any
-        // other leader is an out-edge stub (one per distinct target).
-        if (inFast == lazyInFast_ && pc == lazyStart_)
-            return lazyEntry_;
-        for (const LazyEdge &edge : lazyEdges_)
-            if (edge.inFast == inFast && edge.pc == pc)
-                return edge.label;
-        lazyEdges_.push_back({e_.newLabel(), inFast, uint32_t(pc)});
-        return lazyEdges_.back().label;
+        return (inFast ? fastLbl_ : slowLbl_)[pc];
     }
 
-    void emitThunk() { emitEntryThunk(e_); }
+    /**
+     * void thunk(JitCtx *rdi, const void *rsi) at offset 0: establish
+     * the fixed register plan and tail-jump to a block entry. The
+     * stack stays 16-aligned at every emitted call site.
+     */
+    void emitThunk()
+    {
+        e_.push(RBX);
+        e_.push(RBP);
+        e_.push(R12);
+        e_.push(R13);
+        e_.push(R14);
+        e_.push(R15);
+        e_.aluRegImm32(Emitter::ALU_SUB, RSP, 8);
+        e_.movRegReg(R15, RDI);
+        e_.movRegMem(R14, R15, kOffGpr);
+        e_.movRegMem(R13, R15, kOffPred);
+        e_.movRegMem(R12, R15, kOffCyFlat);
+        e_.movRegMem(RBX, R15, kOffInFlat);
+        e_.movRegMem(RBP, R15, kOffLoadMask);
+        e_.jmpReg(RSI);
+    }
 
     void emitEpilogue()
     {
@@ -657,54 +622,10 @@ class FunctionCompiler
             // Fallthrough into the next leader's block, which is the
             // next one emitted (emitStream walks the stream in order),
             // so no jump is needed — just commit the pending charges
-            // before the next block's step debit. Lazy blocks have no
-            // next block in-buffer; the fallthrough is an out-edge.
+            // before the next block's step debit.
             pending_.flush(e_);
-            if (lazy_)
-                e_.jmp(blockLabel(inFast, end));
         }
         return true;
-    }
-
-    /**
-     * One stub per distinct lazy out-edge: load the target's
-     * publication slot (its address is baked; the arrays never move)
-     * and jump straight into the published block, else ask blockLink
-     * to resolve/compile/queue it — a miss there spills a clean bail
-     * at the target pc, with the source block fully retired either
-     * way (edges are only crossed after every refund settled).
-     */
-    void emitLazyEdges()
-    {
-        for (const LazyEdge &edge : lazyEdges_) {
-            e_.bind(edge.label);
-            const std::atomic<const void *> *slot =
-                (edge.inFast ? fastSlots_ : slowSlots_) + edge.pc;
-            e_.movRegImm64(RAX, reinterpret_cast<uint64_t>(slot));
-            e_.movRegMem(RAX, RAX, 0);
-            e_.cmpRegImm32(RAX, int32_t(kLazySlotQueued));
-            int miss = e_.newLabel();
-            e_.jcc(CC_BE, miss); // null/dead/queued: not runnable
-            e_.jmpReg(RAX);
-            e_.bind(miss);
-            e_.movMemReg(R15, kOffLoadMask, RBP);
-            e_.movRegReg(RDI, R15);
-            e_.movRegImm64(RSI, uint64_t(lazyFunc_));
-            e_.movRegImm64(RDX, uint64_t(edge.pc) |
-                                    (edge.inFast ? (1ULL << 32) : 0));
-            e_.movRegImm64(RAX,
-                           reinterpret_cast<uint64_t>(
-                               reinterpret_cast<void *>(
-                                   &JitOps::blockLink)));
-            e_.callReg(RAX);
-            e_.cmpRegImm32(RAX, 1);
-            int go = e_.newLabel();
-            e_.jcc(CC_NE, go);
-            e_.jmp(epilogue_);
-            e_.bind(go);
-            e_.jmpReg(RAX);
-        }
-        lazyEdges_.clear();
     }
 
     // ---- per-op framing --------------------------------------------
@@ -1194,7 +1115,7 @@ class FunctionCompiler
         if (dp.op == Opcode::Cmp && !env_.async) {
             // A NaT operand clears both predicates. Under the async
             // tier maybe bits are not architectural NaTs and the
-            // predicates compute normally (the consumer replays the
+            // predicates compute normally (the tier replays the
             // instrumenter's compare-alert markers instead).
             e_.movzxByteMem(RCX, R14, gprNat(dp.r2));
             if (!dp.useImm) {
@@ -2182,7 +2103,6 @@ const void *
 CodeArena::place(const void *bytes, size_t size)
 {
 #if SHIFT_JIT_BACKEND
-    std::lock_guard<std::mutex> lock(mutex_);
     if (chunks_.empty() || chunks_.back().cap - chunks_.back().used < size) {
         if (!grow(size))
             return nullptr;
@@ -2243,53 +2163,6 @@ sealBuffer(const Emitter &e, std::unique_ptr<CompiledFunction> out,
 
 } // namespace
 
-bool
-computeLeaders(const DecodedFunction &df, const CompileEnv &env,
-               std::vector<uint8_t> &slowLead,
-               std::vector<uint8_t> &fastLead)
-{
-    const auto &slow = df.code;
-    const auto &fast = df.fast;
-    if (slow.empty())
-        return false;
-    slowLead.assign(slow.size(), 0);
-    fastLead.assign(fast.size(), 0);
-    slowLead[0] = 1;
-    if (!fast.empty())
-        fastLead[0] = 1;
-    // Leaders: targets, terminator successors, probe deopt pcs.
-    auto mark = [&](const std::vector<DecodedInstr> &s, bool inFast) {
-        for (size_t i = 0; i < s.size(); ++i) {
-            const DecodedInstr &dp = s[i];
-            if (isTerminator(dp.op) && i + 1 < s.size())
-                (inFast ? fastLead : slowLead)[i + 1] = 1;
-            if (dp.op == Opcode::Br || dp.op == Opcode::Chk) {
-                auto t = size_t(dp.target);
-                if (t >= s.size())
-                    return false;
-                (inFast ? fastLead : slowLead)[t] = 1;
-                if (!inFast && env.fastEnabled && !df.fast.empty()) {
-                    int32_t fe = df.fastEntry[t];
-                    if (fe >= 0)
-                        fastLead[size_t(fe)] = 1;
-                }
-            }
-            if (inFast && isProbeOp(dp.op)) {
-                auto t = size_t(dp.target);
-                if (t >= df.code.size())
-                    return false;
-                slowLead[t] = 1;
-            }
-        }
-        return true;
-    };
-    if (!mark(slow, false))
-        return false;
-    if (!fast.empty() && !mark(fast, true))
-        return false;
-    return true;
-}
-
 std::unique_ptr<CompiledFunction>
 compileFunction(const DecodedFunction &df, const CompileEnv &env,
                 CodeArena *arena)
@@ -2304,53 +2177,6 @@ compileFunction(const DecodedFunction &df, const CompileEnv &env,
     (void)df;
     (void)env;
     (void)arena;
-    return nullptr;
-#endif
-}
-
-std::unique_ptr<CompiledFunction>
-compileBlock(const DecodedFunction &df, const CompileEnv &env,
-             int funcIndex, bool inFast, size_t pc,
-             const std::atomic<const void *> *slowSlots,
-             const std::atomic<const void *> *fastSlots,
-             const std::vector<uint8_t> &slowLead,
-             const std::vector<uint8_t> &fastLead,
-             CodeArena *arena)
-{
-#if SHIFT_JIT_BACKEND
-    auto out = std::make_unique<CompiledFunction>();
-    FunctionCompiler fc(df, env);
-    if (!fc.emitLazyBlock(*out, funcIndex, inFast, pc, slowSlots,
-                          fastSlots, slowLead, fastLead))
-        return nullptr;
-    return sealBuffer(fc.emitter(), std::move(out), arena);
-#else
-    (void)df;
-    (void)env;
-    (void)funcIndex;
-    (void)inFast;
-    (void)pc;
-    (void)slowSlots;
-    (void)fastSlots;
-    (void)slowLead;
-    (void)fastLead;
-    (void)arena;
-    return nullptr;
-#endif
-}
-
-std::unique_ptr<CompiledFunction>
-compileEntryThunk()
-{
-#if SHIFT_JIT_BACKEND
-    Emitter e;
-    emitEntryThunk(e);
-    e.finalize();
-    auto out = std::make_unique<CompiledFunction>();
-    // The entry thunk gets its own private buffer: it outlives cache
-    // flushes and needs no arena bookkeeping.
-    return sealBuffer(e, std::move(out), nullptr);
-#else
     return nullptr;
 #endif
 }

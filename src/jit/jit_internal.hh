@@ -101,13 +101,6 @@ struct JitOps
                             uint64_t pcw);
     static uint64_t syscall(JitCtx *c, const DecodedInstr *dp,
                             uint64_t pcw);
-    /**
-     * Lazy-tier block stitching (SysV: rdi=ctx, rsi=func, rdx=pcw):
-     * resolve the target block, compiling or enqueueing it under the
-     * cache's policy; a miss spills a clean bail at the target pc.
-     */
-    static uint64_t blockLink(JitCtx *c, uint64_t func, uint64_t pcw);
-
     // Shared pieces (members so they see Machine's privates).
     /** The JIT's sync(): fold ctx deltas into the Machine pre-fault. */
     static void spill(JitCtx *c, uint64_t pcw);

@@ -1095,11 +1095,4 @@ JitOps::syscall(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     return transfer(c, m.curFunc_, m.pc_, m.inFast_);
 }
 
-uint64_t
-JitOps::blockLink(JitCtx *c, uint64_t func, uint64_t pcw)
-{
-    return transfer(c, static_cast<int>(func), pcw & 0xffffffffu,
-                    (pcw >> 32) != 0);
-}
-
 } // namespace shift::jit

@@ -24,10 +24,9 @@
  *
  * Lifecycle mirrors the flight recorder: a process-global sink,
  * enabled by the tools' --jitdump flag before sessions are built,
- * written under a mutex (the background compile thread seals
- * concurrently with the serving thread), torn down at exit or
- * explicitly. When disabled, the publication paths pay one branch on
- * a relaxed atomic.
+ * written under a mutex (fleet workers seal concurrently), torn
+ * down at exit or explicitly. When disabled, the publication paths
+ * pay one branch on a relaxed atomic.
  */
 
 #ifndef SHIFT_OBS_PERFMAP_HH

@@ -4,8 +4,8 @@
  *
  * One guest instruction can retire through any of five regimes —
  * instrumented interpreter, taint-clean fast path, JIT slow/fast
- * compiled streams, the async replay consumer — plus builtins, host
- * syscalls and the compile pipeline. The counters plane (stats.hh)
+ * compiled streams, the async taint tier's replay — plus builtins,
+ * host syscalls and the compile pipeline. The counters plane (stats.hh)
  * says *what* happened; this module says *where the host time went*,
  * tagged {tier, function, superblock pc}, so regressions like the
  * async crafty slowdown (EXPERIMENTS.md) are diagnosable in-tree
@@ -17,14 +17,14 @@
  * monotonic nanoseconds since the stamp:
  *
  *  - sample(): the interpreter's periodic tick (every kSampleEvery
- *    charged micro-ops). The elapsed interval is attributed to the
+ *    dispatches). The elapsed interval is attributed to the
  *    *observed* site — classic sampled attribution, so per-site
  *    numbers within the interpreter tiers are estimates, while tier
  *    totals stay exact.
  *  - enter(): a tier boundary (JIT entry/exit, builtin bracket). The
  *    elapsed interval is attributed to the context being *left*.
  *  - carveSince(): an exact sub-interval measured by the caller
- *    (async event publication, sync compile). The measured span is
+ *    (async replay, compile). The measured span is
  *    attributed to the carved tier and the stamp advances past it, so
  *    nothing is counted twice.
  *
@@ -32,15 +32,14 @@
  * exactly one bucket, sum(prof.tier.*) == prof.total.nanos by
  * construction — the property the bench asserts to 1%.
  *
- * Off-thread work (the threaded async consumer, the background
- * compile worker) is measured by those components themselves and
- * exported as prof.aux.* counters; it overlaps the engine wall clock
- * and is reported separately, never folded into the engine total.
+ * Every tier runs on the engine thread, so the sum covers all of the
+ * run's host work.
  *
- * Cost contract: mirrors the PR 5 observer plane. The profiler is a
- * separate runDecoded template instantiation (kProf); the production
- * instantiation is untouched, and a disabled profiler costs nothing
- * (enforced by the perf-smoke-prof tripwire). Tables are per-machine
+ * Cost contract: mirrors the observer plane. The profiler rides the
+ * observed runDecoded instantiation (kObserved), gated on its pointer
+ * at run time; the production instantiation is untouched, and a
+ * disabled profiler costs nothing (enforced by the perf-smoke-prof
+ * tripwire). Tables are per-machine
  * (per-clone) and fold into StatSet counters under the stable
  * `prof.*` schema (docs/OBSERVABILITY.md), so fleet merge, the
  * Prometheus exporter and --json reports all ride the existing
@@ -68,8 +67,7 @@ enum class Tier : uint8_t
     InterpFast,    ///< taint-clean fast-path stream
     JitSlow,       ///< compiled instrumented stream
     JitFast,       ///< compiled fast stream
-    AsyncPublish,  ///< source-side event construction/filter/publish
-    AsyncConsumer, ///< replay consumer (inline placement)
+    AsyncPublish,  ///< async-tier filter, replay and fences
     Compile,       ///< synchronous JIT compilation on the engine thread
     Builtin,       ///< linked built-in handlers
     Host,          ///< syscalls, run setup/teardown, everything else
@@ -88,7 +86,7 @@ const char *tierName(Tier tier);
 class Profiler
 {
   public:
-    /** Charged micro-ops between interpreter sampling ticks. */
+    /** Interpreter dispatches between sampling ticks. */
     static constexpr uint32_t kSampleEvery = 2048;
 
     /** Sites tracked before overflow folds into the tier residual. */

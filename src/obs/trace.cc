@@ -32,8 +32,6 @@ evName(Ev kind)
       case Ev::PolicyKill: return "policy.kill";
       case Ev::TaintSource: return "taint.source";
       case Ev::TaintStore: return "taint.store";
-      case Ev::RingStall: return "dift.ring.stall";
-      case Ev::FenceWait: return "dift.fence.wait";
       case Ev::JitCompile: return "jit.compile";
       case Ev::JitEvict: return "jit.evict";
       case Ev::kCount: break;
@@ -272,7 +270,7 @@ Recorder::acquireBuffer(int cloneId)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     buffers_.push_back(
-        std::make_unique<TraceBuffer>(options_.ringEvents, cloneId));
+        std::make_unique<TraceBuffer>(options_.capacity, cloneId));
     buffers_.back()->t0_ = t0_;
     return buffers_.back().get();
 }
@@ -400,12 +398,6 @@ summarize(const TraceEvent &e, const FuncNameFn &funcName)
         break;
       case Ev::TaintStore:
         ss << " addr=0x" << std::hex << e.a << std::dec;
-        break;
-      case Ev::RingStall:
-        ss << " capacity=" << e.a << " spins=" << e.b;
-        break;
-      case Ev::FenceWait:
-        ss << " lag=" << e.a << " waitNs=" << e.b;
         break;
       case Ev::JitCompile:
         ss << " bytes=" << e.a << " compileNs=" << e.b;

@@ -39,9 +39,6 @@ buildProgram(const std::vector<std::string> &sources,
     // Async-tier option screening happens here so Session and
     // SessionTemplate reject bad combinations identically.
     if (options.async.enabled) {
-        std::string problem = dift::validateAsyncOptions(options.async);
-        if (!problem.empty())
-            SHIFT_FATAL("async taint: %s", problem.c_str());
         if (options.mode != TrackingMode::Shift)
             SHIFT_FATAL("async taint requires TrackingMode::Shift");
         if (options.engine != ExecEngine::Predecoded)
@@ -53,7 +50,7 @@ buildProgram(const std::vector<std::string> &sources,
         if (options.speculate) {
             SHIFT_FATAL("async taint is incompatible with control "
                         "speculation (ld.s defers faults into NaT "
-                        "bits the event stream does not model)");
+                        "bits the replay does not model)");
         }
     }
 
@@ -71,7 +68,7 @@ buildProgram(const std::vector<std::string> &sources,
             // Async tier: no inline instrumentation at all. The
             // program is only annotated (load/store/compare scoping
             // recorded in Instr::p1, compare markers inserted) and the
-            // consumer thread replays the instrumenter's semantics.
+            // tier's replay applies the instrumenter's semantics.
             dift::AnnotateOptions ann;
             ann.instrumentLoads = options.instr.instrumentLoads;
             ann.instrumentStores = options.instr.instrumentStores;
@@ -207,14 +204,12 @@ Session::build(const std::vector<std::string> &sources)
     }
     if (options_.async.enabled) {
         asyncTier_ = std::make_unique<dift::AsyncTaintTier>(
-            machine_->memory(), options_.policy.granularity,
-            options_.async);
+            machine_->memory(), options_.policy.granularity);
         machine_->setAsyncTier(asyncTier_.get());
     }
     machine_->setFastPathEnabled(options_.fastPath);
     machine_->setJitEnabled(options_.jit, options_.jitThreshold,
-                            options_.jitCacheBytes,
-                            options_.jitBackground, options_.jitLazy);
+                            options_.jitCacheBytes);
     if (options_.profile) {
         profiler_ = std::make_unique<obs::Profiler>();
         machine_->setProfiler(profiler_.get());
@@ -233,8 +228,8 @@ Session::build(const std::vector<std::string> &sources)
                                             options_.policy.granularity);
         if (asyncTier_) {
             // Host-side taint writes (input hooks, wrap functions)
-            // must reach the consumer's shadow too; they only happen
-            // while it is quiesced (builtin/syscall fences).
+            // must reach the tier's shadow too; they only happen at
+            // builtin/syscall fences.
             taint_->setMirror([tier = asyncTier_.get()](
                                   uint64_t tagAddr, unsigned bitIdx,
                                   bool value) {

@@ -81,8 +81,6 @@ struct SessionOptions
     bool jit = false;
     uint32_t jitThreshold = 0;  ///< promotion threshold, 0 = default
     size_t jitCacheBytes = 0;   ///< code-cache byte budget, 0 = default
-    bool jitBackground = false; ///< compile on a worker thread
-    bool jitLazy = false;       ///< per-superblock lazy compilation
 
     /**
      * Attach the tier-attribution profiler: the run's StatSet gains
@@ -90,8 +88,8 @@ struct SessionOptions
      * interpreter / fast-path / JIT / async-publish / compile /
      * builtin tiers, per {function, pc} site (docs/OBSERVABILITY.md).
      * Composes with every mode including the JIT; disabled it costs
-     * nothing (separate interpreter instantiation, enforced by
-     * perf-smoke-prof).
+     * nothing (the production interpreter instantiation carries no
+     * profiler code, enforced by perf-smoke-prof).
      */
     bool profile = false;
 
@@ -100,10 +98,10 @@ struct SessionOptions
     minic::SpeculateOptions speculateOptions;
 
     /**
-     * Decouple taint propagation onto the async tier: the engine
-     * streams events into a bounded ring and a consumer thread replays
-     * them against a shadow bitmap, synchronizing only at policy-check
-     * points (see docs/ASYNC-TAINT.md). Shift mode + predecoded engine
+     * Move taint propagation onto the async tier: the engine runs the
+     * uninstrumented program and replays propagation against a shadow
+     * bitmap, materializing it only at policy-check points (see
+     * docs/ASYNC-TAINT.md). Shift mode + predecoded engine
      * only; mutually exclusive with fastPath and speculate.
      */
     dift::AsyncTaintOptions async;

@@ -19,8 +19,7 @@ SessionTemplate::SessionTemplate(const std::vector<std::string> &sources,
     // along so the whole fleet shares one set of compiled bodies.
     proto_->setFastPathEnabled(options_.fastPath);
     proto_->setJitEnabled(options_.jit, options_.jitThreshold,
-                          options_.jitCacheBytes, options_.jitBackground,
-                          options_.jitLazy);
+                          options_.jitCacheBytes);
 }
 
 SessionTemplate::SessionTemplate(const std::string &source,
@@ -80,12 +79,10 @@ SessionClone::SessionClone(const SessionTemplate &tmpl, int cloneId)
                                          tmpl.options_.features,
                                          tmpl.options_.engine);
     if (tmpl.options_.async.enabled) {
-        // One ring + consumer thread per clone: each clone's event
-        // stream is private, so a fleet runs N decoupled pairs whose
-        // dift.* stats merge in the fleet report.
+        // One tier per clone: each clone's shadow is private, and
+        // the clones' dift.* stats merge in the fleet report.
         asyncTier_ = std::make_unique<dift::AsyncTaintTier>(
-            machine_->memory(), tmpl.options_.policy.granularity,
-            tmpl.options_.async);
+            machine_->memory(), tmpl.options_.policy.granularity);
         machine_->setAsyncTier(asyncTier_.get());
     }
     machine_->setFastPathEnabled(tmpl.options_.fastPath);
@@ -93,9 +90,7 @@ SessionClone::SessionClone(const SessionTemplate &tmpl, int cloneId)
     // when the JIT is on; this validates/adopts it (and is the off
     // switch when it is not).
     machine_->setJitEnabled(tmpl.options_.jit, tmpl.options_.jitThreshold,
-                            tmpl.options_.jitCacheBytes,
-                            tmpl.options_.jitBackground,
-                            tmpl.options_.jitLazy);
+                            tmpl.options_.jitCacheBytes);
     if (tmpl.options_.profile) {
         // Private table per clone: run() folds it into the clone's
         // RunResult stats, so the fleet report's prof.* rows are the

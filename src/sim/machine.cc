@@ -213,9 +213,9 @@ Machine::setRetval(uint64_t val, bool nat)
 {
     setGpr(reg::rv, val, nat);
     // Under the async tier the caller (a builtin or syscall handler)
-    // runs at a fence, so the consumer's shadow is quiesced: mirror
-    // the retval's taint there, exactly as the NaT write above would
-    // have carried it in the synchronous engine.
+    // runs at a fence: mirror the retval's taint into the tier's
+    // shadow, exactly as the NaT write above would have carried it in
+    // the synchronous engine.
     if (asyncTier_)
         asyncTier_->setRegTaint(reg::rv, nat);
 }
@@ -225,8 +225,8 @@ Machine::argNat(int i) const
 {
     // Under the async tier the engine's NaT bits are conservative
     // "maybe tainted" summaries (see runDecoded's aluDone), so only
-    // the consumer's shadow — quiesced at the builtin fence — is the
-    // exact taint the synchronous engine's NaT bit would carry.
+    // the tier's shadow is the exact taint the synchronous engine's
+    // NaT bit would carry.
     if (asyncTier_)
         return asyncTier_->regTaint(reg::arg0 + i);
     return gpr_[reg::arg0 + i].nat;
@@ -318,8 +318,7 @@ Machine::setTraceHook(TraceFn fn)
 
 void
 Machine::setJitEnabled(bool enabled, uint32_t threshold,
-                       size_t cacheBytes, bool background,
-                       bool lazyBlocks)
+                       size_t cacheBytes)
 {
     jitEnabled_ = false;
     jitActive_ = nullptr;
@@ -333,10 +332,6 @@ Machine::setJitEnabled(bool enabled, uint32_t threshold,
     jitEnabled_ = true;
     jitThreshold_ = threshold;
     jitCacheBytes_ = cacheBytes;
-    jitBackground_ = background;
-    jitLazy_ = lazyBlocks;
-    jit::CompileMode mode = background ? jit::CompileMode::Background
-                                       : jit::CompileMode::Sync;
     // Create the cache eagerly so capture() can hand it to clones
     // before anything runs. run() re-validates the environment (the
     // cycle model or fast-path switch may change in between) and
@@ -347,11 +342,9 @@ Machine::setJitEnabled(bool enabled, uint32_t threshold,
     if (!jitCache_ || jitCache_->program() != decoded_.get() ||
         !(jitCache_->env() == env) ||
         (threshold != 0 && jitCache_->threshold() != threshold) ||
-        (cacheBytes != 0 && jitCache_->maxBytes() != cacheBytes) ||
-        jitCache_->mode() != mode ||
-        jitCache_->lazyBlocks() != lazyBlocks)
-        jitCache_ = std::make_shared<jit::CodeCache>(
-            decoded_, env, threshold, cacheBytes, mode, lazyBlocks);
+        (cacheBytes != 0 && jitCache_->maxBytes() != cacheBytes))
+        jitCache_ = std::make_shared<jit::CodeCache>(decoded_, env,
+                                                     threshold, cacheBytes);
 }
 
 void
@@ -367,20 +360,6 @@ Machine::setObserver(obs::TraceBuffer *buffer)
     mem_.setCowHook([this](uint64_t addr) {
         obs_->emit(obs::Ev::CowCopy, 0, curFunc_, 0, addr);
     });
-    // Per-PC hot-spot table: one counter per original instruction,
-    // flat across functions. Bounded by static program size; only the
-    // tracing interpreter instantiation increments it.
-    if (hotPc_.empty()) {
-        hotPcBase_.assign(program_->functions.size(), 0);
-        uint32_t base = 0;
-        for (size_t f = 0; f < program_->functions.size(); ++f) {
-            hotPcBase_[f] = base;
-            base += static_cast<uint32_t>(
-                        program_->functions[f].code.size()) +
-                    1;
-        }
-        hotPc_.assign(base, 0);
-    }
 }
 
 void
@@ -451,17 +430,22 @@ Machine::natConsumptionFault(FaultContext ctx, const std::string &detail)
 }
 
 void
+Machine::profSample(bool inFast, uint32_t origIndex)
+{
+    prof_->sample(inFast ? obs::Tier::InterpFast : obs::Tier::InterpSlow,
+                  curFunc_, origIndex);
+}
+
+void
 Machine::applyAsyncViolation(const dift::Violation &v)
 {
     if (asyncViolationApplied_)
         return;
     asyncViolationApplied_ = true;
-    // The violating instruction precedes, in program order, anything
-    // the lag-bounded engine did afterwards — including stopping for
-    // its own reasons (exit, a later fault, the step limit). The
-    // synchronous engine would have faulted there first, so its
-    // verdict replaces whatever this run reached. Alerts that fired
-    // at earlier fences are kept: they precede the violation.
+    // The synchronous engine would have faulted at the violating
+    // instruction, so its verdict replaces whatever stop state this
+    // run reached. Alerts that fired at earlier fences are kept: they
+    // precede the violation.
     exited_ = false;
     exitCode_ = 0;
     fault_ = Fault{};
@@ -494,10 +478,6 @@ Machine::chargeCycles(const Instr &instr, uint64_t cycles)
     int cls = static_cast<int>(instr.origClass);
     cyclesBy_[prov][cls] += cycles;
     instrsBy_[prov][cls] += 1;
-    // The legacy stepper is never perf-contractual, so its hot-spot
-    // attribution is a plain branch (pc_ is the original index here).
-    if (!hotPc_.empty())
-        ++hotPc_[hotPcBase_[curFunc_] + pc_];
 }
 
 void
@@ -1090,7 +1070,7 @@ Machine::stepLegacy()
     }
 }
 
-template <bool kObs, bool kHotPc, bool kAsync, bool kProf>
+template <bool kObserved, bool kAsync>
 void
 Machine::runDecoded(uint64_t maxSteps)
 {
@@ -1160,102 +1140,57 @@ Machine::runDecoded(uint64_t maxSteps)
         df = &decoded_->functions[curFunc_];
         code = inFast ? df->fast.data() : df->code.data();
     };
-    // Per-PC hot-spot attribution is its own instantiation axis:
-    // run() selects kHotPc only when setObserver allocated the table,
-    // so the increment needs no null test — and the kHotPc = false
-    // loops (production and the forced-dispatch bench mode) compile
-    // none of this, keeping charge() free of per-instruction
-    // observability work.
-    uint32_t *const hotData = kHotPc ? hotPc_.data() : nullptr;
-    // Tier-attribution profiler (docs/OBSERVABILITY.md): its own
-    // instantiation axis like kObs, so the production loop compiles
-    // none of this. A countdown in charge() takes a sampling tick
-    // every kSampleEvery charged micro-ops, attributing elapsed host
-    // time to the observed {tier, function, pc}; exact sub-intervals
-    // (async publication, sync compiles, builtins, syscalls) are
-    // carved out by the brackets below so tier sums stay exhaustive.
-    [[maybe_unused]] uint32_t profLeft = obs::Profiler::kSampleEvery;
+    // Tier-attribution profiler (docs/OBSERVABILITY.md): it rides
+    // the observed instantiation and is gated on `prof` at run time,
+    // so the production loop compiles none of this. The front end's
+    // step-limit check doubles as the sampling tick: in a profiled
+    // run `stepGate` sits at the next sample point (or the limit,
+    // whichever comes first), so sampling adds no per-op work. Each
+    // tick attributes elapsed host time to the observed {tier,
+    // function, pc}; exact sub-intervals (async replay, sync
+    // compiles, builtins, syscalls) are carved out by the brackets
+    // below so tier sums stay exhaustive.
+    obs::Profiler *const prof = prof_;
+    uint64_t stepGate = maxSteps;
+    [[maybe_unused]] auto armSampleGate = [&] {
+        if (kObserved && prof)
+            stepGate = std::min(maxSteps,
+                                steps + obs::Profiler::kSampleEvery);
+    };
+    armSampleGate();
     auto charge = [&](uint64_t cost) {
         cycles += cost;
         ++instrs;
         cyFlat[statIdx] += cost;
         inFlat[statIdx] += 1;
-        if constexpr (kHotPc) {
-            ++hotData[hotPcBase_[curFunc_] +
-                      static_cast<uint32_t>(dp->origIndex)];
-        }
-        if constexpr (kProf) {
-            if (--profLeft == 0) [[unlikely]] {
-                profLeft = obs::Profiler::kSampleEvery;
-                prof_->sample(inFast ? obs::Tier::InterpFast
-                                     : obs::Tier::InterpSlow,
-                              curFunc_,
-                              static_cast<uint32_t>(dp->origIndex));
-            }
-        }
     };
     // Profiler carve brackets: stamp t0 before a bracketed operation,
-    // carve the exact span after. Compile to nothing when !kProf.
-    [[maybe_unused]] auto profT0 = [] {
-        if constexpr (kProf)
-            return obs::Profiler::nowNanos();
-        else
-            return uint64_t{0};
+    // carve the exact span after. Compile to nothing when !kObserved.
+    [[maybe_unused]] auto profT0 = [&] {
+        return kObserved && prof ? obs::Profiler::nowNanos()
+                                 : uint64_t{0};
     };
     [[maybe_unused]] auto profCarve = [&](obs::Tier tier, uint64_t t0) {
-        if constexpr (kProf)
-            prof_->carveSince(tier, curFunc_,
-                              static_cast<uint32_t>(dp->origIndex), t0);
+        if (kObserved && prof)
+            prof->carveSince(tier, curFunc_,
+                             static_cast<uint32_t>(dp->origIndex), t0);
     };
     auto src2v = [&] {
         return dp->useImm ? static_cast<uint64_t>(dp->imm)
                           : gpr_[dp->r3].val;
     };
     auto src2n = [&] { return dp->useImm ? false : gpr_[dp->r3].nat; };
-    // Async-tier event emission (docs/ASYNC-TAINT.md): one
-    // fixed-width event per taint-relevant micro-op, pushed before the
-    // op's own side effects so the consumer replays in program order.
-    // A true return means the consumer has flagged a violation
-    // (sampled once per publish batch): the call site must sync(),
-    // asyncStop() and SHIFT_STOPPED().
-    [[maybe_unused]] auto pushEv =
-        [&](dift::EvKind kind, uint8_t a, uint8_t b, uint8_t c,
-            uint8_t flags, uint64_t addr, uint8_t size) {
-            [[maybe_unused]] uint64_t pt0 = profT0();
-            dift::Event ev;
-            ev.addr = addr;
-            ev.pc = dp->origIndex;
-            ev.func = static_cast<int16_t>(curFunc_);
-            ev.kind = static_cast<uint8_t>(kind);
-            ev.flags = flags;
-            ev.a = a;
-            ev.b = b;
-            ev.c = c;
-            ev.size = size;
-            bool viol = asyncTier_->push(ev);
-            profCarve(obs::Tier::AsyncPublish, pt0);
-            return viol;
-        };
-    // Raise the consumer's pending violation (call after sync()).
+    // Raise the tier's recorded violation (call after sync()).
     [[maybe_unused]] auto asyncStop = [&] {
         applyAsyncViolation(*asyncTier_->pendingViolation());
     };
-    // With the inline consumer the shadow is synchronously caught up
-    // after every push, so load destinations can read back their
-    // exact taint instead of a conservative maybe — which keeps the
-    // maybe bits equal to the consumer's taint and lets the event
-    // filter drop every clean downstream RegWrite.
-    [[maybe_unused]] bool asyncInline = false;
-    if constexpr (kAsync)
-        asyncInline = asyncTier_->inlineConsumer();
-    // Policy fence: publish, block until the consumer has replayed
-    // everything, materialize the shadow bitmap into memory so
+    // Policy fence: materialize the shadow bitmap into memory so
     // TaintMap readers (H1-H5 checks inside builtins and syscalls)
     // see what the synchronous engine's bitmap would hold. True when
     // a violation surfaced — the engine must stop. Call after sync().
     [[maybe_unused]] auto asyncFence = [&]() -> bool {
-        // Fence waits are source-side async overhead too: the engine
-        // is stalled publishing/waiting, not interpreting.
+        // Materialization is async-tier overhead too, not
+        // interpretation.
         [[maybe_unused]] uint64_t pt0 = profT0();
         const dift::Violation *v = asyncTier_->fence();
         profCarve(obs::Tier::AsyncPublish, pt0);
@@ -1267,35 +1202,24 @@ Machine::runDecoded(uint64_t maxSteps)
     };
     // Common ALU tail: write the destination, charge, advance. Under
     // the async tier the otherwise-dormant NaT bit is repurposed as a
-    // conservative "maybe tainted" summary of the consumer's register
+    // conservative "maybe tainted" summary of the tier's register
     // taint (taint(r) implies maybe(r), docs/ASYNC-TAINT.md): the
-    // RegWrite event is emitted only when it could set consumer taint
-    // (a maybe source) or clear it (a maybe destination) — anything
-    // else is provably a consumer no-op. Violation sampling is
-    // skipped here (no fault can depend on an ALU op); the flag is
-    // caught at the next load/store/branch-move or fence.
+    // RegWrite replay runs only when it could set shadow taint (a
+    // maybe source) or clear it (a maybe destination) — anything else
+    // is provably a replay no-op. No fault can depend on an ALU op.
     auto aluDone = [&](uint64_t result, bool nat, uint64_t cost) {
         if constexpr (kAsync) {
             bool zero = dp->p1 & dift::kAnnZeroIdiom;
             bool maybe = !zero && nat;
             if (maybe || gpr_[dp->r1].nat) {
-                if (asyncInline) {
-                    [[maybe_unused]] uint64_t pt0 = profT0();
-                    asyncTier_->inlineRegWrite(
-                        static_cast<uint8_t>(dp->r1),
-                        static_cast<uint8_t>(dp->r2),
-                        dp->useImm ? uint8_t{0}
-                                   : static_cast<uint8_t>(dp->r3),
-                        zero);
-                    profCarve(obs::Tier::AsyncPublish, pt0);
-                } else
-                    pushEv(dift::EvKind::RegWrite,
-                           static_cast<uint8_t>(dp->r1),
-                           static_cast<uint8_t>(dp->r2),
-                           dp->useImm ? uint8_t{0}
-                                      : static_cast<uint8_t>(dp->r3),
-                           zero ? dift::kEvZeroIdiom : uint8_t{0}, 0,
-                           0);
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                asyncTier_->regWrite(
+                    static_cast<uint8_t>(dp->r1),
+                    static_cast<uint8_t>(dp->r2),
+                    dp->useImm ? uint8_t{0}
+                               : static_cast<uint8_t>(dp->r3),
+                    zero);
+                profCarve(obs::Tier::AsyncPublish, pt0);
             }
             setGpr(dp->r1, result, maybe);
             charge(cost);
@@ -1355,7 +1279,7 @@ Machine::runDecoded(uint64_t maxSteps)
         inFast = false;
         pc = static_cast<uint64_t>(dp->target);
         code = df->code.data();
-        if constexpr (kObs) {
+        if constexpr (kObserved) {
             if (obs_) [[unlikely]]
                 obs_->emitCold(obs::Ev::FastDeopt,
                                static_cast<uint16_t>(cause), curFunc_,
@@ -1365,14 +1289,14 @@ Machine::runDecoded(uint64_t maxSteps)
     // Flight-recorder instants for the fast tier's other transitions;
     // compiled out of the production instantiation entirely.
     auto obsFastEnter = [&] {
-        if constexpr (kObs) {
+        if constexpr (kObserved) {
             if (obs_) [[unlikely]]
                 obs_->emitCold(obs::Ev::FastEnter, 0, curFunc_,
                                dp->origIndex);
         }
     };
     auto obsColdBail = [&](uint64_t slowPc) {
-        if constexpr (kObs) {
+        if constexpr (kObserved) {
             if (obs_) [[unlikely]]
                 obs_->emitCold(obs::Ev::FastColdBail, 0, curFunc_,
                                df->code[slowPc].origIndex);
@@ -1417,15 +1341,15 @@ Machine::runDecoded(uint64_t maxSteps)
         jitCompiled_ += credit.blocks;
         jitCodeBytes_ += credit.codeBytes;
         jitEvictions_ += credit.evictions;
-        if constexpr (kProf) {
-            // entryAt timed any synchronous compile it ran on this
-            // thread; carve that span out of the interpreter tier.
+        if (kObserved && prof) {
+            // entryAt timed any compile it ran; carve that span out
+            // of the interpreter tier.
             if (credit.compileNanos)
-                prof_->carveSince(obs::Tier::Compile, curFunc_,
-                                  static_cast<uint32_t>(
-                                      code[pc].origIndex),
-                                  obs::Profiler::nowNanos() -
-                                      credit.compileNanos);
+                prof->carveSince(obs::Tier::Compile, curFunc_,
+                                 static_cast<uint32_t>(
+                                     code[pc].origIndex),
+                                 obs::Profiler::nowNanos() -
+                                     credit.compileNanos);
         }
         if (!en)
             return 0;
@@ -1440,11 +1364,11 @@ Machine::runDecoded(uint64_t maxSteps)
         jitCtx_.fpEntered = 0;
         jitCtx_.loadMask = loadMask;
         jitCtx_.stepsLeft = static_cast<int64_t>(budget);
-        if constexpr (kProf)
-            prof_->enter(inFast ? obs::Tier::JitFast
-                                : obs::Tier::JitSlow,
-                         curFunc_,
-                         static_cast<uint32_t>(code[pc].origIndex));
+        if (kObserved && prof)
+            prof->enter(inFast ? obs::Tier::JitFast
+                               : obs::Tier::JitSlow,
+                        curFunc_,
+                        static_cast<uint32_t>(code[pc].origIndex));
         en.thunk(&jitCtx_, en.code);
         ++jitEntered_;
         // On a fault the runtime helpers already folded-and-zeroed the
@@ -1468,25 +1392,30 @@ Machine::runDecoded(uint64_t maxSteps)
         if (stopped_) {
             // Attribute the compiled span; pc may be stale on a stop,
             // so close the context at a neutral site.
-            if constexpr (kProf)
-                prof_->enter(obs::Tier::Host, curFunc_, 0);
+            if (kObserved && prof)
+                prof->enter(obs::Tier::Host, curFunc_, 0);
             return 2;
         }
-        if constexpr (kProf)
-            prof_->enter(inFast ? obs::Tier::InterpFast
-                                : obs::Tier::InterpSlow,
-                         curFunc_,
-                         static_cast<uint32_t>(code[pc].origIndex));
+        if (kObserved && prof)
+            prof->enter(inFast ? obs::Tier::InterpFast
+                               : obs::Tier::InterpSlow,
+                        curFunc_,
+                        static_cast<uint32_t>(code[pc].origIndex));
         ++jitBailouts_;
         return 1;
     };
-// The JIT never runs under the tracing/hot-pc instantiations (run()
-// refuses to activate it there), so the production check is the only
-// one that compiles in. SHIFT_STOPPED expands per dispatch mode at
-// the use site; no do-while wrapper, because the portable mode's
-// `break` must reach the enclosing switch.
+// Every instantiation carries the check: profiled runs keep the JIT,
+// and run() leaves jitActive_ null while a recorder is attached. The
+// test is laid out as unlikely so the handlers' straight-line code
+// stays the interpreter's (measured: without the hint the observed
+// loop's disabled-recorder cost was +1.5..+2.6%, with it ~-1%); with the
+// JIT on, the inlined hook's own work dwarfs the mispredicted hint.
+// A shared out-of-line tail for the hook was tried too and cost the
+// JIT-heavy spec-fig7 sweep ~20%. SHIFT_STOPPED expands per dispatch
+// mode at the use site; no do-while wrapper, because the portable
+// mode's `break` must reach the enclosing switch.
 #define SHIFT_JIT_CHECK()                                               \
-    if constexpr (!kObs && !kHotPc) {                                   \
+    if (jitActive_) [[unlikely]] {                                      \
         if (jitHook() == 2)                                             \
             SHIFT_STOPPED();                                            \
     }
@@ -1494,21 +1423,19 @@ Machine::runDecoded(uint64_t maxSteps)
     // Attribution starts in the interpreter's tier: begin() opened the
     // context at Host, charging run setup there; everything from here
     // accrues to the stream being executed.
-    if constexpr (kProf)
-        prof_->enter(inFast ? obs::Tier::InterpFast
-                            : obs::Tier::InterpSlow,
-                     curFunc_,
-                     static_cast<uint32_t>(code[pc].origIndex));
+    if (kObserved && prof)
+        prof->enter(inFast ? obs::Tier::InterpFast
+                           : obs::Tier::InterpSlow,
+                    curFunc_,
+                    static_cast<uint32_t>(code[pc].origIndex));
 
     // Run-start entry: the resume pc is a block leader whenever the
     // previous exit was one (which every JIT bail and most interpreter
     // stops are); otherwise entryFor misses and we interpret.
-    if constexpr (!kObs && !kHotPc) {
-        if (jitHook() == 2) {
-            sync();
-            dispatches_ += steps;
-            return;
-        }
+    if (jitHook() == 2) {
+        sync();
+        dispatches_ += steps;
+        return;
     }
 
 #if SHIFT_THREADED_DISPATCH
@@ -1544,7 +1471,7 @@ Machine::runDecoded(uint64_t maxSteps)
 // SHIFT_STOPPED() straight to the sync-and-return tail.
 #define SHIFT_NEXT_FAST()                                               \
     do {                                                                \
-        if (++steps > maxSteps)                                         \
+        if (++steps > stepGate)                                         \
             goto stepLimitHit;                                          \
         dp = &code[pc];                                                 \
         statIdx = dp->statIdx;                                          \
@@ -1619,11 +1546,18 @@ nullified:
 #define SHIFT_STOPPED() break
 
     while (!stopped_) {
-        if (++steps > maxSteps) {
-            sync();
-            setFault(FaultKind::StepLimit, FaultContext::None, 0,
-                     "step limit exceeded");
-            return;
+        if (++steps > stepGate) {
+            if (kObserved && steps <= maxSteps) {
+                // Profiler sampling tick (see stepGate).
+                profSample(inFast,
+                           static_cast<uint32_t>(code[pc].origIndex));
+                armSampleGate();
+            } else {
+                sync();
+                setFault(FaultKind::StepLimit, FaultContext::None, 0,
+                         "step limit exceeded");
+                return;
+            }
         }
         dp = &code[pc];
         statIdx = dp->statIdx;
@@ -1703,9 +1637,9 @@ nullified:
             bool taintedDivisor = nat;
             if constexpr (kAsync) {
                 // The maybe bit prunes the fence: a clean maybe means
-                // the consumer's taint is certainly clean too, so the
-                // fault fires without quiescing. Otherwise ask the
-                // consumer's shadow whether an operand is really
+                // the shadow taint is certainly clean too, so the
+                // fault fires without fencing. Otherwise ask the
+                // shadow whether an operand is really
                 // tainted — the sync engine's NaT divisor suppresses
                 // the fault (result 0, taint propagates via aluDone).
                 if (nat) {
@@ -1825,7 +1759,7 @@ nullified:
             // the async tier the NaT bit is a maybe-taint summary,
             // not an architectural NaT, so predicates compute
             // normally (tainted compares are the instrumenter's
-            // compare-alert markers, replayed by the consumer).
+            // compare-alert markers, replayed by the tier).
             setPred(dp->p1, false);
             setPred(dp->p2, false);
         } else {
@@ -1868,14 +1802,13 @@ nullified:
         const Gpr &addrReg = gpr_[dp->r2];
         uint64_t addr = addrReg.val;
         if constexpr (kAsync) {
-            // Emitted before the access: a violation replayed from
-            // this event (tainted pointer) overrides whatever the
-            // engine-side access does next, exactly where the sync
+            // Replayed before the access: a violation (tainted
+            // pointer) stops the engine exactly where the sync
             // engine's NaT check would have fired. A plain load —
             // untracked, unrelaxed, not a fill — with a clean-maybe
             // address and a clean-maybe destination is provably a
-            // consumer no-op (no taint to clear, no L1 possible) and
-            // is filtered out.
+            // replay no-op (no taint to clear, no L1 possible) and is
+            // filtered out.
             uint8_t fl = 0;
             if (dp->p1 & dift::kAnnChecked)
                 fl |= dift::kEvChecked;
@@ -1884,21 +1817,12 @@ nullified:
             if (dp->fill)
                 fl |= dift::kEvFill;
             if (fl != 0 || addrReg.nat || gpr_[dp->r1].nat) {
-                bool viol;
-                if (asyncInline) {
-                    [[maybe_unused]] uint64_t pt0 = profT0();
-                    viol = asyncTier_->inlineLoad(
-                        static_cast<uint8_t>(dp->r1),
-                        static_cast<uint8_t>(dp->r2), fl, addr,
-                        dp->size, dp->origIndex,
-                        static_cast<int16_t>(curFunc_));
-                    profCarve(obs::Tier::AsyncPublish, pt0);
-                } else {
-                    viol = pushEv(dift::EvKind::Load,
-                                  static_cast<uint8_t>(dp->r1),
-                                  static_cast<uint8_t>(dp->r2), 0, fl,
-                                  addr, dp->size);
-                }
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                bool viol = asyncTier_->load(
+                    static_cast<uint8_t>(dp->r1),
+                    static_cast<uint8_t>(dp->r2), fl, addr, dp->size,
+                    dp->origIndex, static_cast<int16_t>(curFunc_));
+                profCarve(obs::Tier::AsyncPublish, pt0);
                 if (viol) {
                     sync();
                     asyncStop();
@@ -1917,7 +1841,7 @@ nullified:
             }
         } else if (!kAsync && addrReg.nat) {
             // Maybe bits never fault: under the async tier the
-            // consumer replays this check from the Load event.
+            // replay above checks the real taint.
             sync();
             // statIdx % kNumOrigClass is the OrigClass (the flat
             // index is prov * kNumOrigClass + cls).
@@ -1942,20 +1866,14 @@ nullified:
             SHIFT_STOPPED();
         }
         if constexpr (kAsync) {
-            // Maybe-out for the destination. Inline consumer: the
-            // replay already ran inside push(), so the exact taint is
-            // one shadow read away. Threaded consumer: a tracked
-            // (checked or relaxed) load may pull taint out of memory
-            // the engine can't see, so conservatively maybe. Either
-            // way a fill keeps the spill-time maybe bit readFill
-            // recovered from the NaT sidecar, and a plain load never
-            // propagates memory taint under the instrumenter's rules.
-            if (!dp->fill) {
-                nat = asyncInline
-                          ? asyncTier_->regTaint(dp->r1)
-                          : (dp->p1 & (dift::kAnnChecked |
-                                       dift::kAnnRelaxed)) != 0;
-            }
+            // Maybe-out for the destination: the replay already ran,
+            // so the exact taint is one shadow read away — which keeps
+            // the maybe bits equal to the shadow taint and lets the
+            // filter drop every clean downstream RegWrite. A fill
+            // keeps the spill-time maybe bit readFill recovered from
+            // the NaT sidecar.
+            if (!dp->fill)
+                nat = asyncTier_->regTaint(dp->r1);
         }
         setGpr(dp->r1, value, nat);
         ++loadCount_;
@@ -1973,11 +1891,12 @@ nullified:
         const Gpr &srcReg = gpr_[dp->r2];
         uint64_t addr = addrReg.val;
         if constexpr (kAsync) {
-            // Tracked stores and spills always emit (their bitmap RMW
-            // / spill-shadow update clears stale taint even when the
-            // source is clean); a plain store with clean-maybe source
-            // and address is provably a consumer no-op (no shadow
-            // write, no L2/StoreValue possible) and is filtered out.
+            // Tracked stores and spills always replay (their bitmap
+            // RMW / spill-shadow update clears stale taint even when
+            // the source is clean); a plain store with clean-maybe
+            // source and address is provably a replay no-op (no
+            // shadow write, no L2/StoreValue possible) and is filtered
+            // out.
             uint8_t fl = 0;
             if (dp->p1 & dift::kAnnChecked)
                 fl |= dift::kEvChecked;
@@ -1987,21 +1906,12 @@ nullified:
                 fl |= dift::kEvSpill;
             if ((fl & (dift::kEvChecked | dift::kEvSpill)) != 0 ||
                 srcReg.nat || addrReg.nat) {
-                bool viol;
-                if (asyncInline) {
-                    [[maybe_unused]] uint64_t pt0 = profT0();
-                    viol = asyncTier_->inlineStore(
-                        static_cast<uint8_t>(dp->r2),
-                        static_cast<uint8_t>(dp->r1), fl, addr,
-                        dp->size, dp->origIndex,
-                        static_cast<int16_t>(curFunc_));
-                    profCarve(obs::Tier::AsyncPublish, pt0);
-                } else {
-                    viol = pushEv(dift::EvKind::Store,
-                                  static_cast<uint8_t>(dp->r2),
-                                  static_cast<uint8_t>(dp->r1), 0, fl,
-                                  addr, dp->size);
-                }
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                bool viol = asyncTier_->store(
+                    static_cast<uint8_t>(dp->r2),
+                    static_cast<uint8_t>(dp->r1), fl, addr, dp->size,
+                    dp->origIndex, static_cast<int16_t>(curFunc_));
+                profCarve(obs::Tier::AsyncPublish, pt0);
                 if (viol) {
                     sync();
                     asyncStop();
@@ -2041,7 +1951,7 @@ nullified:
                      "store to illegal address");
             SHIFT_STOPPED();
         }
-        if constexpr (kObs) {
+        if constexpr (kObserved) {
             // A nonzero write into the tag region spreads taint: the
             // provenance chain wants it.
             if (obs_ && !dp->spill && srcReg.val != 0 &&
@@ -2114,10 +2024,10 @@ nullified:
             size_t depthBefore = callStack_.size();
             [[maybe_unused]] uint64_t bt0 = profT0();
             (*fn)(*this);
-            if constexpr (kProf)
-                prof_->carveSince(obs::Tier::Builtin, funcBefore,
-                                  static_cast<uint32_t>(dp->origIndex),
-                                  bt0);
+            if (kObserved && prof)
+                prof->carveSince(obs::Tier::Builtin, funcBefore,
+                                 static_cast<uint32_t>(dp->origIndex),
+                                 bt0);
             if (!stopped_ && pc_ == pcBefore && curFunc_ == funcBefore &&
                 callStack_.size() == depthBefore)
                 ++pc_;
@@ -2160,19 +2070,23 @@ nullified:
     SHIFT_OP(MovToBr)
         if constexpr (kAsync) {
             // Both real branch-register moves and the annotation
-            // pass's compare-alert markers land here: the consumer
+            // pass's compare-alert markers land here: the replay
             // raises the L3 verdict when the source is tainted. The
-            // event carries the register's VALUE (the sync fault
+            // check carries the register's VALUE (the sync fault
             // reports it as the faulting address). A clean-maybe
-            // source can't be consumer-tainted, so the check event is
+            // source can't be shadow-tainted, so the check is
             // filtered out.
-            if (gpr_[dp->r2].nat &&
-                pushEv(dift::EvKind::BranchCheck,
-                       static_cast<uint8_t>(dp->r2), 0, 0, 0,
-                       gpr_[dp->r2].val, 0)) {
-                sync();
-                asyncStop();
-                SHIFT_STOPPED();
+            if (gpr_[dp->r2].nat) {
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                bool viol = asyncTier_->branchCheck(
+                    static_cast<uint8_t>(dp->r2), gpr_[dp->r2].val,
+                    dp->origIndex, static_cast<int16_t>(curFunc_));
+                profCarve(obs::Tier::AsyncPublish, pt0);
+                if (viol) {
+                    sync();
+                    asyncStop();
+                    SHIFT_STOPPED();
+                }
             }
         }
         if (!kAsync && gpr_[dp->r2].nat) {
@@ -2191,11 +2105,11 @@ nullified:
         if constexpr (kAsync) {
             // Branch registers never hold taint (a tainted move into
             // one is an L3 kill), so the destination comes out clean:
-            // a RegWrite sourced from r0, emitted only when there is
+            // a RegWrite sourced from r0, replayed only when there is
             // maybe-taint on the destination to clear.
             if (gpr_[dp->r1].nat)
-                pushEv(dift::EvKind::RegWrite,
-                       static_cast<uint8_t>(dp->r1), 0, 0, 0, 0, 0);
+                asyncTier_->regWrite(static_cast<uint8_t>(dp->r1), 0,
+                                     0, false);
         }
         setGpr(dp->r1, br_[dp->br], false);
         charge(cycleModel_.alu);
@@ -2217,8 +2131,8 @@ nullified:
     SHIFT_OP(MovFromUnat)
         if constexpr (kAsync) {
             if (gpr_[dp->r1].nat)
-                pushEv(dift::EvKind::RegWrite,
-                       static_cast<uint8_t>(dp->r1), 0, 0, 0, 0, 0);
+                asyncTier_->regWrite(static_cast<uint8_t>(dp->r1), 0,
+                                     0, false);
         }
         setGpr(dp->r1, unat_, false);
         charge(cycleModel_.alu);
@@ -2245,14 +2159,13 @@ nullified:
             SHIFT_STOPPED();
         }
         if constexpr (kAsync) {
-            // Keep the maybe-bit superset sound: clear the consumer's
+            // Keep the maybe-bit superset sound: clear the shadow
             // taint along with the engine's bit (a zero-idiom
-            // RegWrite), otherwise later filtered events could assume
-            // a clean register the consumer still sees tainted.
+            // RegWrite), otherwise later filtered replays could assume
+            // a clean register the shadow still sees tainted.
             if (gpr_[dp->r1].nat)
-                pushEv(dift::EvKind::RegWrite,
-                       static_cast<uint8_t>(dp->r1), 0, 0,
-                       dift::kEvZeroIdiom, 0, 0);
+                asyncTier_->regWrite(static_cast<uint8_t>(dp->r1), 0,
+                                     0, true);
         }
         gpr_[dp->r1].nat = false;
         charge(cycleModel_.alu);
@@ -2633,7 +2546,7 @@ nullified:
                      "store to illegal address");
             SHIFT_STOPPED();
         }
-        if constexpr (kObs) {
+        if constexpr (kObserved) {
             if (obs_ && t1v != 0) [[unlikely]]
                 obs_->emitCold(obs::Ev::TaintStore, 0, curFunc_,
                                dp->origIndex + 6, a.val);
@@ -2887,6 +2800,16 @@ nullified:
 
 #if SHIFT_THREADED_DISPATCH
 stepLimitHit:
+    if constexpr (kObserved) {
+        if (steps <= maxSteps) {
+            // Profiler sampling tick (see stepGate): attribute to the
+            // op about to run, re-arm, and redo its front end.
+            profSample(inFast, static_cast<uint32_t>(code[pc].origIndex));
+            armSampleGate();
+            --steps;
+            SHIFT_NEXT_FAST();
+        }
+    }
     sync();
     dispatches_ += steps;
     setFault(FaultKind::StepLimit, FaultContext::None, 0,
@@ -2909,27 +2832,19 @@ doneRun:
 #undef SHIFT_STOPPED
 }
 
-// Production runs the <false, false, false> instantiation: every
-// flight-recorder emit site above vanishes under `if constexpr`, so a
-// disabled recorder costs one pointer test per run() call
-// (perf-smoke-obs enforces this). <true, false, false> adds the
-// emit-site branches without per-instruction hot-pc counting;
-// <true, true, false> is the full tracing loop used when an observer
-// is attached. The kAsync instantiations are the decoupled-taint
-// engines (docs/ASYNC-TAINT.md): event emission compiles in, and the
-// synchronous loops carry zero async instructions.
-template void Machine::runDecoded<false, false, false, false>(uint64_t);
-template void Machine::runDecoded<true, false, false, false>(uint64_t);
-template void Machine::runDecoded<true, true, false, false>(uint64_t);
-template void Machine::runDecoded<false, false, true, false>(uint64_t);
-template void Machine::runDecoded<true, false, true, false>(uint64_t);
-// kProf variants (tier-attribution profiler, docs/OBSERVABILITY.md).
-// No kHotPc+kProf combination: attaching a profiler alongside a full
-// observer forfeits the per-PC hot-spot table (run() documents this).
-template void Machine::runDecoded<false, false, false, true>(uint64_t);
-template void Machine::runDecoded<true, false, false, true>(uint64_t);
-template void Machine::runDecoded<false, false, true, true>(uint64_t);
-template void Machine::runDecoded<true, false, true, true>(uint64_t);
+// Production runs the <false, false> instantiation: every
+// flight-recorder emit site and profiler bracket above vanishes under
+// `if constexpr`, so a disabled recorder or profiler costs one pointer
+// test per run() call (perf-smoke-obs and perf-smoke-prof enforce
+// this). <true, *> is the observed loop: emit sites test obs_ and
+// profiler brackets test prof_ at run time. The kAsync instantiations
+// are the async-taint engines (docs/ASYNC-TAINT.md): replay calls
+// compile in, and the synchronous loops carry zero async
+// instructions.
+template void Machine::runDecoded<false, false>(uint64_t);
+template void Machine::runDecoded<true, false>(uint64_t);
+template void Machine::runDecoded<false, true>(uint64_t);
+template void Machine::runDecoded<true, true>(uint64_t);
 
 RunResult
 Machine::run(uint64_t maxSteps)
@@ -2952,15 +2867,10 @@ Machine::run(uint64_t maxSteps)
         jit::CompileEnv env{cycleModel_, features_.natSetClear,
                             features_.natAwareCompare, fastEnabled_,
                             asyncTier_ != nullptr};
-        jit::CompileMode mode = jitBackground_
-                                    ? jit::CompileMode::Background
-                                    : jit::CompileMode::Sync;
         if (!jitCache_ || jitCache_->program() != decoded_.get() ||
-            !(jitCache_->env() == env) || jitCache_->mode() != mode ||
-            jitCache_->lazyBlocks() != jitLazy_)
+            !(jitCache_->env() == env))
             jitCache_ = std::make_shared<jit::CodeCache>(
-                decoded_, env, jitThreshold_, jitCacheBytes_, mode,
-                jitLazy_);
+                decoded_, env, jitThreshold_, jitCacheBytes_);
         jitCtx_.m = this;
         jitCtx_.cyFlat = &cyclesBy_[0][0];
         jitCtx_.inFlat = &instrsBy_[0][0];
@@ -2983,46 +2893,26 @@ Machine::run(uint64_t maxSteps)
     if (prof_)
         prof_->begin();
     if (engine_ == ExecEngine::Predecoded) {
+        // The observed loop serves recorders, forced dispatch and the
+        // profiler alike; each gates its own work on its pointer.
+        bool observed = obs_ || obsForce_ || prof_;
         if (asyncTier_) {
-            // Decoupled taint tier: the machine owns the tier's
-            // lifecycle around the run. Per-PC hot-spot attribution
-            // is not wired through the async instantiations (the
-            // table stays zero and emits nothing).
-            asyncTier_->setObserver(obs_);
-            asyncTier_->setProfiled(prof_ != nullptr);
+            // Async taint tier: the machine owns the tier's lifecycle
+            // around the run.
             asyncTier_->start();
-            if (obs_ || obsForce_) {
-                if (prof_)
-                    runDecoded<true, false, true, true>(maxSteps);
-                else
-                    runDecoded<true, false, true, false>(maxSteps);
-            } else {
-                if (prof_)
-                    runDecoded<false, false, true, true>(maxSteps);
-                else
-                    runDecoded<false, false, true, false>(maxSteps);
-            }
-            // Final fence: any violation the consumer replays out of
-            // the remaining events precedes, in program order, the
-            // point where the engine stopped — the synchronous
-            // engine's verdict.
+            if (observed)
+                runDecoded<true, true>(maxSteps);
+            else
+                runDecoded<false, true>(maxSteps);
+            // Final fence: materialize the shadow so post-run bitmap
+            // readers see the synchronous engine's tags.
             const dift::Violation *v = asyncTier_->shutdown();
             if (v)
                 applyAsyncViolation(*v);
-        } else if (obs_ && !hotPc_.empty() && !prof_) {
-            runDecoded<true, true, false, false>(maxSteps);
-        } else if (obs_ || obsForce_) {
-            // A profiler alongside a full observer forfeits the
-            // per-PC hot-spot table (the instantiation matrix stays
-            // at nine; the profiler's own site table subsumes it).
-            if (prof_)
-                runDecoded<true, false, false, true>(maxSteps);
-            else
-                runDecoded<true, false, false, false>(maxSteps);
-        } else if (prof_) {
-            runDecoded<false, false, false, true>(maxSteps);
+        } else if (observed) {
+            runDecoded<true, false>(maxSteps);
         } else {
-            runDecoded<false, false, false, false>(maxSteps);
+            runDecoded<false, false>(maxSteps);
         }
     } else {
         SHIFT_ASSERT(!asyncTier_,
@@ -3107,33 +2997,6 @@ Machine::run(uint64_t maxSteps)
         st.add("jit.codeBytes", jitCodeBytes_);
         st.add("jit.evictions", jitEvictions_);
         st.add("jit.linkedBuiltinReturns", jitLinkedBuiltins_);
-    }
-    if (jitCache_ && jitCache_->queueHighWater())
-        st.setGauge("jit.compileQueueDepth", jitCache_->queueHighWater());
-    if (!hotPc_.empty()) {
-        // Per-PC hot spots: top-K flat-table entries, keyed
-        // function@pc like the deopt attribution so fleet merges
-        // aggregate the same site. K bounds both stat-set size and
-        // exporter output.
-        constexpr size_t kTopHotPcs = 16;
-        std::vector<uint32_t> top;
-        for (uint32_t i = 0; i < hotPc_.size(); ++i)
-            if (hotPc_[i])
-                top.push_back(i);
-        size_t keep = std::min(kTopHotPcs, top.size());
-        std::partial_sort(top.begin(), top.begin() + keep, top.end(),
-                          [&](uint32_t x, uint32_t y) {
-                              return hotPc_[x] > hotPc_[y];
-                          });
-        top.resize(keep);
-        for (uint32_t flat : top) {
-            size_t f = program_->functions.size() - 1;
-            while (f > 0 && hotPcBase_[f] > flat)
-                --f;
-            st.add("engine.hotpc." + program_->functions[f].name + "@" +
-                       std::to_string(flat - hotPcBase_[f]),
-                   hotPc_[flat]);
-        }
     }
     if (obs_) {
         st.add("obs.events", obs_->emitted());

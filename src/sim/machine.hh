@@ -257,9 +257,8 @@ class Machine
     uint64_t arg(int i) const { return gpr_[reg::arg0 + i].val; }
     /**
      * Argument-register taint: the NaT bit, or — under the async
-     * taint tier, where the engine's NaT machinery is dormant — the
-     * consumer's shadow register taint (callers run at a fence, so
-     * the shadow is quiesced and exact).
+     * taint tier, where the engine's NaT bits are only maybe-taint
+     * summaries — the tier's exact shadow register taint.
      */
     bool argNat(int i) const;
     void setRetval(uint64_t val, bool nat = false);
@@ -319,16 +318,11 @@ class Machine
      * unconditionally. Call after setFastPathEnabled — the compiled
      * code bakes the fast-tier promotion policy in. The cache is
      * created eagerly so capture() can share it with clones.
-     *
-     * `background` moves compilation onto the cache's compile thread
-     * (requests queue at the threshold crossing; execution keeps
-     * interpreting until the body installs). `lazyBlocks` compiles at
-     * dual-version-superblock granularity on first hot entry instead
-     * of whole functions. Both default off (the original behavior).
+     * Compilation is synchronous and whole-function, on the thread
+     * whose lookup crosses the threshold.
      */
     void setJitEnabled(bool enabled, uint32_t threshold = 0,
-                       size_t cacheBytes = 0, bool background = false,
-                       bool lazyBlocks = false);
+                       size_t cacheBytes = 0);
     bool jitEnabled() const { return jitEnabled_; }
 
     /** True when this build/host can generate and run native code. */
@@ -349,32 +343,32 @@ class Machine
     /**
      * Attach a flight-recorder ring: the engine emits structured
      * trace events (fast-tier enter/deopt/cold-bail with pc and
-     * cause, tainted tag stores, COW page copies, policy verdicts)
-     * and maintains the per-PC hot-spot table. Null detaches. With no
-     * buffer attached the whole subsystem costs one branch at run()
-     * (the tracing-enabled interpreter loop is a separate template
-     * instantiation), which perf-smoke-obs enforces.
+     * cause, tainted tag stores, COW page copies, policy verdicts).
+     * Null detaches. With no buffer attached the whole subsystem
+     * costs one branch at run() (the observed interpreter loop is a
+     * separate template instantiation), which perf-smoke-obs
+     * enforces.
      */
     void setObserver(obs::TraceBuffer *buffer);
     obs::TraceBuffer *observer() const { return obs_; }
 
     /**
-     * Bench/test knob: force run() through the tracing-capable
-     * interpreter instantiation even with no buffer attached, so the
+     * Bench/test knob: force run() through the observed interpreter
+     * instantiation even with no buffer or profiler attached, so the
      * cost of its disabled branches is measurable (bench_obs).
      */
     void setObsDispatchForced(bool forced) { obsForce_ = forced; }
 
     /**
-     * Attach the tier-attribution profiler: run() selects a
-     * profiling interpreter instantiation (separate template axis,
-     * like kObs) that samples host time into {tier, function, pc}
-     * buckets and carves exact sub-intervals for async publication,
-     * JIT compilation, built-ins and system calls. The machine calls
+     * Attach the tier-attribution profiler: run() selects the
+     * observed interpreter instantiation (shared with the flight
+     * recorder), which samples host time into {tier, function, pc}
+     * buckets and carves exact sub-intervals for async replay, JIT
+     * compilation, built-ins and system calls. The machine calls
      * begin()/stop() around the run and folds the tables into the
      * run's StatSet as `prof.*` (docs/OBSERVABILITY.md). Null
      * detaches; with none attached the subsystem costs nothing (the
-     * profiling loop is a separate instantiation, enforced by
+     * production loop is a separate instantiation, enforced by
      * perf-smoke-prof). Composes with the JIT tier — compiled code
      * accrues to jit-slow/jit-fast between dispatch hooks.
      */
@@ -384,10 +378,10 @@ class Machine
     // ----- async taint tier (docs/ASYNC-TAINT.md) -----------------------
 
     /**
-     * Attach the decoupled taint tier: run() selects the async
-     * interpreter instantiation, which emits trace events instead of
-     * executing inline instrumentation, fences at policy boundaries,
-     * and applies the consumer's verdicts. The machine must run an
+     * Attach the async taint tier: run() selects the async
+     * interpreter instantiation, which replays propagation through
+     * the tier instead of executing inline instrumentation, fences at
+     * policy boundaries, and applies the tier's verdicts. The machine must run an
      * async-annotated program (dift::annotateForAsync) — never an
      * instrumented one. The tier must outlive the machine's run().
      * Predecoded engine only. The machine starts and shuts the tier
@@ -433,19 +427,29 @@ class Machine
      * the architectural members around every observation point (trace
      * hooks, built-ins, system calls, faults, alerts).
      *
-     * kObs selects the tracing-capable instantiation: flight-recorder
-     * emit sites and the per-PC hot-spot counter compile in behind
-     * `if constexpr`, so the production (kObs=false) loop carries
-     * literally zero disabled-tracing instructions.
+     * kObserved selects the observed instantiation: flight-recorder
+     * emit sites and profiler brackets compile in behind
+     * `if constexpr` (each gated at run time on its own pointer), so
+     * the production (kObserved=false) loop carries literally zero
+     * disabled-observability instructions. kAsync selects the async
+     * taint tier's engine.
      */
-    template <bool kObs, bool kHotPc, bool kAsync, bool kProf>
+    template <bool kObserved, bool kAsync>
     void runDecoded(uint64_t maxSteps);
 
     /**
-     * Raise the consumer's recorded violation as the synchronous
-     * engine's NaT-consumption fault: same context, detail, address,
-     * function and architectural pc. Clears any engine verdict the
-     * (lag-bounded) run produced after the violating instruction.
+     * The observed loop's profiler sampling tick, taken from the
+     * front end's step gate. Out of line and cold: it runs once per
+     * Profiler::kSampleEvery dispatches.
+     */
+    [[gnu::cold, gnu::noinline]] void profSample(bool inFast,
+                                                 uint32_t origIndex);
+
+    /**
+     * Raise the tier's recorded violation as the synchronous engine's
+     * NaT-consumption fault: same context, detail, address, function
+     * and architectural pc. Clears any engine verdict the run produced
+     * after the violating instruction.
      */
     void applyAsyncViolation(const dift::Violation &v);
 
@@ -576,8 +580,6 @@ class Machine
     bool jitEnabled_ = false;
     uint32_t jitThreshold_ = 0;
     size_t jitCacheBytes_ = 0; ///< code-cache byte budget (0 = default)
-    bool jitBackground_ = false; ///< compile on the cache's thread
-    bool jitLazy_ = false;       ///< per-superblock compilation units
     std::shared_ptr<jit::CodeCache> jitCache_;
     jit::CodeCache *jitActive_ = nullptr;
     jit::JitCtx jitCtx_;
@@ -589,18 +591,12 @@ class Machine
     uint64_t jitEvictions_ = 0; ///< code-cache flushes this machine forced
     uint64_t jitLinkedBuiltins_ = 0; ///< linked builtin/syscall returns
 
-    // Observability state (see setObserver). The hot-spot table is a
-    // flat per-original-instruction counter array indexed by
-    // hotPcBase_[function] + origIndex; bounded by program size and
-    // only allocated (and only incremented — kObs instantiation) when
-    // a recorder is attached.
+    // Observability state (see setObserver / setProfiler).
     obs::TraceBuffer *obs_ = nullptr;
     bool obsForce_ = false;
     obs::Profiler *prof_ = nullptr;
     dift::AsyncTaintTier *asyncTier_ = nullptr;
     bool asyncViolationApplied_ = false;
-    std::vector<uint32_t> hotPc_;
-    std::vector<uint32_t> hotPcBase_;
     std::vector<obs::TraceEvent> provenance_;
 };
 

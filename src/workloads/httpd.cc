@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "support/cpu_time.hh"
 #include "support/logging.hh"
 
 namespace shift::workloads
@@ -180,8 +181,6 @@ runHttpd(const HttpdConfig &config)
     options.async = config.async;
     options.jit = config.jit;
     options.jitThreshold = config.jitThreshold;
-    options.jitBackground = config.jitBackground;
-    options.jitLazy = config.jitLazy;
     options.policy.taintNetwork = config.taintRequests;
 
     Session session(kHttpdSource, options);
@@ -193,7 +192,9 @@ runHttpd(const HttpdConfig &config)
 
     HttpdRun run;
     auto start = std::chrono::steady_clock::now();
+    double cpuStart = threadCpuSeconds();
     run.result = session.run();
+    run.runCpuSeconds = threadCpuSeconds() - cpuStart;
     run.runSeconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();

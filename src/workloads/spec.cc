@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "support/cpu_time.hh"
 #include "support/logging.hh"
 
 namespace shift::workloads
@@ -989,8 +990,6 @@ runSpecKernel(const SpecKernel &kernel, const SpecRunConfig &config)
     options.async = config.async;
     options.jit = config.jit;
     options.jitThreshold = config.jitThreshold;
-    options.jitBackground = config.jitBackground;
-    options.jitLazy = config.jitLazy;
     options.profile = config.profile;
 
     Session session(kernel.source, options);
@@ -1002,7 +1001,9 @@ runSpecKernel(const SpecKernel &kernel, const SpecRunConfig &config)
     run.optStats = session.optStats();
     run.staticSize = session.program().staticInstrCount();
     auto start = std::chrono::steady_clock::now();
+    double cpuStart = threadCpuSeconds();
     run.result = session.run();
+    run.runCpuSeconds = threadCpuSeconds() - cpuStart;
     run.runSeconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();

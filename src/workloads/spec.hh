@@ -61,8 +61,6 @@ struct SpecRunConfig
     dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
     bool jit = false;         ///< native tier (JIT.md)
     uint32_t jitThreshold = 0; ///< promotion threshold, 0 = default
-    bool jitBackground = false; ///< compile on a worker thread
-    bool jitLazy = false;       ///< per-superblock lazy compilation
     bool profile = false;     ///< tier-attribution profiler (prof.*)
     int scale = 0;            ///< 0 = kernel default
 };
@@ -80,6 +78,12 @@ struct SpecRun
      * instrumentation and machine setup excluded).
      */
     double runSeconds = 0;
+    /**
+     * The same span in CPU seconds of the calling thread
+     * (threadCpuSeconds): immune to the host descheduling the thread,
+     * and complete because every tier runs on it.
+     */
+    double runCpuSeconds = 0;
 };
 
 /** Compile, (maybe) instrument, run one kernel. */

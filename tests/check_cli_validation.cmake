@@ -36,7 +36,31 @@ function(expect_usage_error regex bin)
     endif()
 endfunction()
 
-# --- shiftd: worker/clone counts, intervals, ring sizes ---------------
+# expect_unknown_option(<binary> <args...>): the first argument is a
+# flag the tools no longer accept; the run must exit 103 with exactly
+# one stderr line naming it as an unknown option.
+function(expect_unknown_option bin flag)
+    string(REGEX REPLACE "([][+.*?^$()|\\])" "\\\\\\1" escaped "${flag}")
+    expect_usage_error("unknown option '${escaped}'" ${bin} ${flag} ${ARGN})
+    set(failures ${failures} PARENT_SCOPE)
+    execute_process(
+        COMMAND ${bin} ${flag} ${ARGN}
+        RESULT_VARIABLE rc
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err
+        TIMEOUT 30)
+    string(STRIP "${err}" stripped)
+    if(stripped MATCHES "\n")
+        get_filename_component(name ${bin} NAME)
+        message(SEND_ERROR
+            "${name} ${flag} ${ARGN}: expected a one-line error\n"
+            "stderr: ${err}")
+        math(EXPR failures "${failures}+1")
+        set(failures ${failures} PARENT_SCOPE)
+    endif()
+endfunction()
+
+# --- shiftd: worker/clone counts, intervals ---------------------------
 expect_usage_error("jobs and --requests must be positive"
     ${SHIFTD} --jobs 0)
 expect_usage_error("jobs and --requests must be positive"
@@ -51,34 +75,12 @@ expect_usage_error("metrics-interval must not be negative"
     ${SHIFTD} --metrics-interval -1)
 expect_usage_error("max-steps must be positive"
     ${SHIFTD} --max-steps 0)
-expect_usage_error("power of two"
-    ${SHIFTD} --async-taint=5000)
-expect_usage_error("ring size"
-    ${SHIFTD} --async-taint=1000)
-expect_usage_error("ring size"
-    ${SHIFTD} --async-taint=0)
-expect_usage_error("expected an integer"
-    ${SHIFTD} --async-taint=big)
-expect_usage_error("async-batch must be positive"
-    ${SHIFTD} --async-batch 0)
-expect_usage_error("publish batch"
-    ${SHIFTD} --async-taint --async-batch 999999999)
-expect_usage_error("expected thread, inline, or auto"
-    ${SHIFTD} --async-consumer sidecar)
-expect_usage_error("missing value after --async-consumer"
-    ${SHIFTD} --async-consumer)
 expect_usage_error("promotion threshold"
     ${SHIFTD} --jit=0)
 expect_usage_error("promotion threshold"
     ${SHIFTD} --jit=-7)
 expect_usage_error("expected an integer"
     ${SHIFTD} --jit=warm)
-expect_usage_error("expected sync or bg"
-    ${SHIFTD} --jit-compile=eager)
-expect_usage_error("expected sync or bg"
-    ${SHIFTD} --jit-compile threaded)
-expect_usage_error("missing value after --jit-compile"
-    ${SHIFTD} --jit-compile)
 expect_usage_error("expected a file path"
     ${SHIFTD} --profile=)
 expect_usage_error("expected a file path"
@@ -91,28 +93,33 @@ expect_usage_error("expected an integer"
     ${SHIFTC} --itrace xyz prog.mc)
 expect_usage_error("itrace must not be negative"
     ${SHIFTC} --itrace -1 prog.mc)
-expect_usage_error("power of two"
-    ${SHIFTC} --async-taint=12345 prog.mc)
-expect_usage_error("async-batch must be positive"
-    ${SHIFTC} --async-batch -1 prog.mc)
 expect_usage_error("unknown option"
     ${SHIFTC} --async prog.mc)
-expect_usage_error("expected thread, inline, or auto"
-    ${SHIFTC} --async-consumer coprocessor prog.mc)
 expect_usage_error("promotion threshold"
     ${SHIFTC} --jit=0 prog.mc)
 expect_usage_error("promotion threshold"
     ${SHIFTC} --jit=2000000000 prog.mc)
 expect_usage_error("expected an integer"
     ${SHIFTC} --jit=hot prog.mc)
-expect_usage_error("expected sync or bg"
-    ${SHIFTC} --jit-compile=async prog.mc)
-expect_usage_error("missing value after --jit-compile"
-    ${SHIFTC} --jit-compile)
 expect_usage_error("expected a file path"
     ${SHIFTC} --profile= prog.mc)
 expect_usage_error("expected a file path"
     ${SHIFTC} --jitdump= prog.mc)
+
+# --- removed tier knobs: the async ring/batch/placement and the JIT
+# compile-mode flags are gone, so every spelling is an unknown option
+foreach(tool ${SHIFTD} ${SHIFTC})
+    expect_unknown_option(${tool} --async-taint=65536 prog.mc)
+    expect_unknown_option(${tool} --async-taint=big prog.mc)
+    expect_unknown_option(${tool} --async-batch 32 prog.mc)
+    expect_unknown_option(${tool} --async-batch)
+    expect_unknown_option(${tool} --async-consumer inline prog.mc)
+    expect_unknown_option(${tool} --async-consumer)
+    expect_unknown_option(${tool} --jit-compile=bg prog.mc)
+    expect_unknown_option(${tool} --jit-compile sync prog.mc)
+    expect_unknown_option(${tool} --jit-compile)
+    expect_unknown_option(${tool} --jit-lazy prog.mc)
+endforeach()
 
 if(failures GREATER 0)
     message(FATAL_ERROR "${failures} CLI validation case(s) failed")

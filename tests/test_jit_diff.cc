@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "jit_test_util.hh"
 #include "session_helpers.hh"
@@ -43,50 +42,24 @@ using workloads::specKernels;
 // ---------------------------------------------------------------------
 // Differential: SPEC kernels, with and without the fast tier under
 // the compiled code (the dual-version streams both get compiled).
-// Every differential runs across the tier matrix — {sync, background}
-// compilation × {whole-function, lazy per-block} granularity — since
-// all four placements promise the same bit-identical simulation; only
-// where the host compile work happens may differ.
 // ---------------------------------------------------------------------
 
-/** One point of the sync/bg × whole/lazy compile-placement matrix. */
-struct JitTier
-{
-    bool background;
-    bool lazy;
-};
-
-constexpr JitTier kJitTiers[] = {
-    {false, false}, {true, false}, {false, true}, {true, true}};
-
-std::string
-tierName(const JitTier &tier)
-{
-    return std::string(tier.background ? "Bg" : "Sync") +
-           (tier.lazy ? "Lazy" : "Whole");
-}
-
-class JitDiffSpecTest
-    : public ::testing::TestWithParam<std::tuple<Granularity, JitTier>>
+class JitDiffSpecTest : public ::testing::TestWithParam<Granularity>
 {
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Granularities, JitDiffSpecTest,
-    ::testing::Combine(::testing::Values(Granularity::Byte,
-                                         Granularity::Word),
-                       ::testing::ValuesIn(kJitTiers)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param) == Granularity::Byte
-                               ? "byte"
-                               : "word";
-        return name + tierName(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Granularities, JitDiffSpecTest,
+                         ::testing::Values(Granularity::Byte,
+                                           Granularity::Word),
+                         [](const auto &info) {
+                             return info.param == Granularity::Byte
+                                        ? "byte"
+                                        : "word";
+                         });
 
 DiffRun
 runKernel(const SpecKernel &kernel, Granularity granularity,
-          bool fastPath, bool jitOn, dift::AsyncTaintOptions async = {},
-          JitTier tier = {false, false})
+          bool fastPath, bool jitOn, dift::AsyncTaintOptions async = {})
 {
     SessionOptions options;
     options.mode = TrackingMode::Shift;
@@ -98,8 +71,6 @@ runKernel(const SpecKernel &kernel, Granularity granularity,
     options.async = async;
     options.jit = jitOn;
     options.jitThreshold = kEager;
-    options.jitBackground = tier.background;
-    options.jitLazy = tier.lazy;
     Session session(kernel.source, options);
     session.os().addFile("input.dat",
                          kernel.makeInput(kernel.defaultScale));
@@ -109,40 +80,23 @@ runKernel(const SpecKernel &kernel, Granularity granularity,
 TEST_P(JitDiffSpecTest, AllKernelsIdentical)
 {
     SKIP_WITHOUT_JIT();
-    const auto &[granularity, tier] = GetParam();
+    const Granularity granularity = GetParam();
     for (const SpecKernel &kernel : specKernels()) {
         for (bool fastPath : {false, true}) {
             DiffRun off = runKernel(kernel, granularity, fastPath, false);
-            DiffRun on =
-                runKernel(kernel, granularity, fastPath, true, {}, tier);
-            std::string what = std::string(kernel.name) +
-                               (fastPath ? "+fastpath" : "") + "+" +
-                               tierName(tier);
+            DiffRun on = runKernel(kernel, granularity, fastPath, true);
+            std::string what =
+                std::string(kernel.name) + (fastPath ? "+fastpath" : "");
             EXPECT_TRUE(off.result.exited) << what;
             expectIdentical(off, on, what);
-            // Background compiles race the (short) kernel run; on a
-            // loaded host nothing may get installed before exit, so
-            // only the synchronous placements guarantee entry.
-            if (!tier.background)
-                EXPECT_GT(on.jitEntered, 0u) << what;
+            EXPECT_GT(on.jitEntered, 0u) << what;
         }
     }
 }
 
-class JitDiffHttpdTest : public ::testing::TestWithParam<JitTier>
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(Tiers, JitDiffHttpdTest,
-                         ::testing::ValuesIn(kJitTiers),
-                         [](const auto &info) {
-                             return tierName(info.param);
-                         });
-
-TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
+TEST(JitDiffHttpd, ResponsesAndMemoryIdentical)
 {
     SKIP_WITHOUT_JIT();
-    const JitTier tier = GetParam();
     DiffRun runs[2];
     for (bool jitOn : {false, true}) {
         SessionOptions options = httpdSessionOptions(
@@ -151,8 +105,6 @@ TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
         options.fastPath = true;
         options.jit = jitOn;
         options.jitThreshold = kEager;
-        options.jitBackground = jitOn && tier.background;
-        options.jitLazy = jitOn && tier.lazy;
         Session session(kHttpdSource, options);
         provisionHttpdOs(session.os(), 512);
         for (int i = 0; i < 5; ++i)
@@ -161,94 +113,56 @@ TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
     }
     EXPECT_TRUE(runs[0].result.exited);
     EXPECT_EQ(runs[0].responses.size(), 5u);
-    expectIdentical(runs[0], runs[1], "httpd+" + tierName(tier));
-    if (!tier.background)
-        EXPECT_GT(runs[1].jitEntered, 0u)
-            << "serving must actually run compiled code";
+    expectIdentical(runs[0], runs[1], "httpd");
+    EXPECT_GT(runs[1].jitEntered, 0u)
+        << "serving must actually run compiled code";
 }
 
 // ---------------------------------------------------------------------
-// Differential: the decoupled async taint tier under the JIT. The
-// compiled code must bail at exactly the ops whose events the
-// interpreter would emit, so the consumer sees an identical event
-// stream (dift.events is compared) and the simulation retires the
-// same instructions and cycles. Wall-clock-dependent counters (fence
-// and ring spin totals) are excluded — they differ between two
-// identical runs under the threaded consumer.
+// Differential: the async taint tier under the JIT. The compiled code
+// must bail at exactly the ops whose replay the interpreter would
+// run, so the tier sees an identical replay stream (dift.events is
+// compared) and the simulation retires the same instructions and
+// cycles.
 // ---------------------------------------------------------------------
 
-class JitAsyncDiffSpecTest
-    : public ::testing::TestWithParam<
-          std::tuple<Granularity, dift::AsyncConsumer, JitTier>>
+class JitAsyncDiffSpecTest : public ::testing::TestWithParam<Granularity>
 {
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, JitAsyncDiffSpecTest,
-    ::testing::Combine(::testing::Values(Granularity::Byte,
-                                         Granularity::Word),
-                       ::testing::Values(dift::AsyncConsumer::Thread,
-                                         dift::AsyncConsumer::Inline),
-                       ::testing::ValuesIn(kJitTiers)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param) == Granularity::Byte
-                               ? "byte"
-                               : "word";
-        name += std::get<1>(info.param) == dift::AsyncConsumer::Thread
-                    ? "Thread"
-                    : "Inline";
-        return name + tierName(std::get<2>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Modes, JitAsyncDiffSpecTest,
+                         ::testing::Values(Granularity::Byte,
+                                           Granularity::Word),
+                         [](const auto &info) {
+                             return info.param == Granularity::Byte
+                                        ? "byte"
+                                        : "word";
+                         });
 
 TEST_P(JitAsyncDiffSpecTest, AllKernelsIdentical)
 {
     SKIP_WITHOUT_JIT();
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    async.consumer = std::get<1>(GetParam());
-    const Granularity granularity = std::get<0>(GetParam());
-    const JitTier tier = std::get<2>(GetParam());
+    const Granularity granularity = GetParam();
     for (const SpecKernel &kernel : specKernels()) {
         DiffRun off = runKernel(kernel, granularity, false, false, async);
-        DiffRun on =
-            runKernel(kernel, granularity, false, true, async, tier);
-        std::string what = std::string(kernel.name) + "+async+" +
-                           tierName(tier);
+        DiffRun on = runKernel(kernel, granularity, false, true, async);
+        std::string what = std::string(kernel.name) + "+async";
         EXPECT_TRUE(off.result.exited) << what;
-        expectIdentical(off, on, what, /*dropHostTiming=*/true);
-        if (!tier.background)
-            EXPECT_GT(on.jitEntered, 0u) << what;
+        expectIdentical(off, on, what);
+        EXPECT_GT(on.jitEntered, 0u) << what;
     }
 }
 
-// Attack verdicts under async + JIT. The inline consumer replays
-// synchronously inside every push, so detection points are
-// deterministic and the exploit/benign runs must match the jit-off
-// arm exactly; the threaded consumer's kill point depends on when
-// the engine samples the violation flag, so only the verdict and
-// policy are asserted there.
-class JitAsyncDiffAttackTest
-    : public ::testing::TestWithParam<dift::AsyncConsumer>
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(Consumers, JitAsyncDiffAttackTest,
-                         ::testing::Values(dift::AsyncConsumer::Thread,
-                                           dift::AsyncConsumer::Inline),
-                         [](const auto &info) {
-                             return info.param ==
-                                            dift::AsyncConsumer::Thread
-                                        ? "Thread"
-                                        : "Inline";
-                         });
-
-TEST_P(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
+// Attack verdicts under async + JIT. Replay runs at the op, so
+// detection points are deterministic and the exploit/benign runs must
+// match the jit-off arm exactly.
+TEST(JitAsyncDiffAttack, AllScenariosSameVerdicts)
 {
     SKIP_WITHOUT_JIT();
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    async.consumer = GetParam();
-    const bool deterministic = GetParam() == dift::AsyncConsumer::Inline;
     for (const auto &scenario : attackScenarios()) {
         AttackRun exploitOff = runAttackScenario(
             scenario, true, Granularity::Byte, ExecEngine::Predecoded,
@@ -263,14 +177,11 @@ TEST_P(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
         EXPECT_EQ(exploitOn.result.alerts.back().policy,
                   scenario.expectedPolicy)
             << scenario.name;
-        if (deterministic) {
-            EXPECT_EQ(exploitOff.result.instructions,
-                      exploitOn.result.instructions)
-                << scenario.name;
-            EXPECT_EQ(exploitOff.result.cycles,
-                      exploitOn.result.cycles)
-                << scenario.name;
-        }
+        EXPECT_EQ(exploitOff.result.instructions,
+                  exploitOn.result.instructions)
+            << scenario.name;
+        EXPECT_EQ(exploitOff.result.cycles, exploitOn.result.cycles)
+            << scenario.name;
 
         AttackRun benignOff = runAttackScenario(
             scenario, false, Granularity::Byte, ExecEngine::Predecoded,

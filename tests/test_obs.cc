@@ -421,10 +421,10 @@ int main() {
 )MC";
 
 RunResult
-runTainty(uint32_t ringEvents)
+runTainty(uint32_t capacity)
 {
     obs::RecorderOptions options;
-    options.ringEvents = ringEvents;
+    options.capacity = capacity;
     ScopedRecorder recorder(options);
     return testutil::runShift(kTaintyProgram, Granularity::Byte,
                               [](Session &s) {

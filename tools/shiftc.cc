@@ -57,21 +57,11 @@ usage()
         "  --trace FILE             record a flight-recorder trace "
         "(Chrome JSON, Perfetto-loadable)\n"
         "  --max-steps N            execution budget\n"
-        "  --async-taint[=RING]     decoupled taint tier: stream "
-        "events to a consumer thread (power-of-two RING size, "
-        "default 65536)\n"
-        "  --async-batch N          events per sequence publish "
-        "(default 32)\n"
-        "  --async-consumer MODE    consumer placement: thread, "
-        "inline, or auto (default auto: inline on single-hart "
-        "hosts)\n"
+        "  --async-taint            async taint tier: run the "
+        "uninstrumented program and replay propagation beside it\n"
         "  --jit[=THRESHOLD]        compile hot superblocks to host "
         "code after THRESHOLD executions (default 32; no-op on "
         "non-x86-64 hosts)\n"
-        "  --jit-compile MODE       sync (compile on the serving "
-        "thread, default) or bg (worker thread + atomic install)\n"
-        "  --jit-lazy               compile one superblock at a time "
-        "on first hot entry instead of whole functions\n"
         "  --profile[=PATH]         tier-attribution profiler: print a "
         "per-tier host-time summary; with PATH also write the full "
         "report (collapsed stacks when PATH ends in .collapsed or "
@@ -203,36 +193,8 @@ main(int argc, char **argv)
                 if (n <= 0)
                     SHIFT_FATAL("--max-steps must be positive");
                 options.maxSteps = static_cast<uint64_t>(n);
-            } else if (arg == "--async-taint" ||
-                       arg.rfind("--async-taint=", 0) == 0) {
+            } else if (arg == "--async-taint") {
                 options.async.enabled = true;
-                if (arg.size() > 13) {
-                    long long ring =
-                        parseInteger("--async-taint", arg.substr(14));
-                    if (ring <= 0 || ring > (1 << 24))
-                        SHIFT_FATAL("--async-taint: ring size %lld out "
-                                    "of range", ring);
-                    options.async.ringEvents =
-                        static_cast<uint32_t>(ring);
-                }
-            } else if (arg == "--async-batch") {
-                long long batch = parseInteger(arg, next());
-                if (batch <= 0)
-                    SHIFT_FATAL("--async-batch must be positive");
-                options.async.publishBatch =
-                    static_cast<uint32_t>(batch);
-            } else if (arg == "--async-consumer") {
-                std::string mode = next();
-                if (mode == "thread")
-                    options.async.consumer = dift::AsyncConsumer::Thread;
-                else if (mode == "inline")
-                    options.async.consumer = dift::AsyncConsumer::Inline;
-                else if (mode == "auto")
-                    options.async.consumer = dift::AsyncConsumer::Auto;
-                else
-                    SHIFT_FATAL("--async-consumer: expected thread, "
-                                "inline, or auto, got '%s'",
-                                mode.c_str());
             } else if (arg == "--jit" || arg.rfind("--jit=", 0) == 0) {
                 options.jit = true;
                 if (arg.size() > 5) {
@@ -244,19 +206,6 @@ main(int argc, char **argv)
                     options.jitThreshold =
                         static_cast<uint32_t>(threshold);
                 }
-            } else if (arg.rfind("--jit-compile=", 0) == 0 ||
-                       arg == "--jit-compile") {
-                std::string mode =
-                    arg == "--jit-compile" ? next() : arg.substr(14);
-                if (mode == "sync")
-                    options.jitBackground = false;
-                else if (mode == "bg")
-                    options.jitBackground = true;
-                else
-                    SHIFT_FATAL("--jit-compile: expected sync or bg, "
-                                "got '%s'", mode.c_str());
-            } else if (arg == "--jit-lazy") {
-                options.jitLazy = true;
             } else if (arg == "--profile" ||
                        arg.rfind("--profile=", 0) == 0) {
                 options.profile = true;
@@ -280,12 +229,6 @@ main(int argc, char **argv)
             } else {
                 SHIFT_FATAL("more than one program given");
             }
-        }
-        if (options.async.enabled) {
-            std::string problem =
-                dift::validateAsyncOptions(options.async);
-            if (!problem.empty())
-                SHIFT_FATAL("--async-taint: %s", problem.c_str());
         }
         if (sourcePath.empty()) {
             usage();
