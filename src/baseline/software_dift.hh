@@ -54,6 +54,8 @@ struct BaselineOptions
     Granularity granularity = Granularity::Byte;
     bool checkLoads = false;  ///< software L1 checks
     bool checkStores = false; ///< software L2 checks
+
+    bool operator==(const BaselineOptions &) const = default;
 };
 
 /**

@@ -558,4 +558,17 @@ instrumentProgram(Program &program, const InstrumentOptions &options)
     return stats;
 }
 
+InstrumentStats &
+InstrumentStats::operator+=(const InstrumentStats &o)
+{
+    loads += o.loads;
+    stores += o.stores;
+    compares += o.compares;
+    purifies += o.purifies;
+    added += o.added;
+    originalSize += o.originalSize;
+    newSize += o.newSize;
+    return *this;
+}
+
 } // namespace shift

@@ -120,6 +120,8 @@ struct InstrumentOptions
      * documented in docs/INSTR-OPT.md.
      */
     bool reuseTagAddr = true;
+
+    bool operator==(const InstrumentOptions &) const = default;
 };
 
 /** Static counts from one instrumentation run. */
@@ -132,6 +134,11 @@ struct InstrumentStats
     uint64_t added = 0;        ///< instructions added
     uint64_t originalSize = 0; ///< static instructions before
     uint64_t newSize = 0;      ///< static instructions after
+
+    bool operator==(const InstrumentStats &) const = default;
+
+    /** Field-wise sum: stats of disjoint function sets add up. */
+    InstrumentStats &operator+=(const InstrumentStats &o);
 };
 
 /**

@@ -79,9 +79,13 @@ class EscapeScanner
 class Generator
 {
   public:
-    Generator(const TranslationUnit &unit, TypePool &pool)
+    Generator(const TranslationUnit &unit, TypePool &pool,
+              const std::vector<const FuncDecl *> &imports)
         : unit_(unit), pool_(pool)
-    {}
+    {
+        for (const FuncDecl *decl : imports)
+            funcDecls_[decl->name] = decl;
+    }
 
     GenOutput
     run()
@@ -997,9 +1001,10 @@ class Generator
 } // namespace
 
 GenOutput
-generate(const TranslationUnit &unit, TypePool &pool)
+generate(const TranslationUnit &unit, TypePool &pool,
+         const std::vector<const FuncDecl *> &imports)
 {
-    Generator gen(unit, pool);
+    Generator gen(unit, pool, imports);
     return gen.run();
 }
 

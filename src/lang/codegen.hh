@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "isa/program.hh"
 #include "lang/ast.hh"
@@ -46,9 +47,14 @@ struct GenOutput
 
 /**
  * Generate code for a parsed unit. `unit` is consumed (expression
- * trees are read only). Throws FatalError on semantic errors.
+ * trees are read only). `imports` declares functions a separately
+ * compiled module defines (see compileApplication): calls to them
+ * resolve and type exactly as if they were defined in `unit`, and a
+ * definition of the same name is a duplicate. Only their signatures
+ * are read. Throws FatalError on semantic errors.
  */
-GenOutput generate(const TranslationUnit &unit, TypePool &pool);
+GenOutput generate(const TranslationUnit &unit, TypePool &pool,
+                   const std::vector<const FuncDecl *> &imports = {});
 
 } // namespace shift::minic
 

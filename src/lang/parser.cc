@@ -68,17 +68,21 @@ class Parser
     void advance() { if (pos_ + 1 < tokens_.size()) ++pos_; }
 
     [[noreturn]] void
-    error(const std::string &msg)
+    error(const std::string &msg, int line = -1)
     {
-        SHIFT_FATAL("parse error at line %d: %s (near '%s')", cur().line,
-                    msg.c_str(), cur().text.c_str());
+        SHIFT_FATAL("parse error at line %d: %s (near '%s')",
+                    line < 0 ? cur().line : line, msg.c_str(),
+                    cur().text.c_str());
     }
 
     void
     expectPunct(const char *p)
     {
+        // A missing ';' or ')' belongs after the previous token: report
+        // its line, not the line of whatever follows.
         if (!cur().isPunct(p))
-            error(std::string("expected '") + p + "'");
+            error(std::string("expected '") + p + "'",
+                  pos_ > 0 ? tokens_[pos_ - 1].line : cur().line);
         advance();
     }
 

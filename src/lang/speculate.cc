@@ -231,4 +231,12 @@ speculateLoads(Program &program, const SpeculateOptions &options)
     return stats;
 }
 
+SpeculateStats &
+SpeculateStats::operator+=(const SpeculateStats &o)
+{
+    candidates += o.candidates;
+    hoisted += o.hoisted;
+    return *this;
+}
+
 } // namespace shift::minic

@@ -35,6 +35,8 @@ struct SpeculateOptions
 {
     /** How many instructions a load may be hoisted over. */
     int maxHoistDistance = 8;
+
+    bool operator==(const SpeculateOptions &) const = default;
 };
 
 /** Static results of one pass run. */
@@ -42,6 +44,11 @@ struct SpeculateStats
 {
     uint64_t candidates = 0; ///< loads examined
     uint64_t hoisted = 0;    ///< loads converted to ld.s + chk.s
+
+    bool operator==(const SpeculateStats &) const = default;
+
+    /** Field-wise sum: stats of disjoint function sets add up. */
+    SpeculateStats &operator+=(const SpeculateStats &o);
 };
 
 /** Speculate loads in every function of the program, in place. */

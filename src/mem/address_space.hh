@@ -81,6 +81,16 @@ isImplemented(uint64_t va)
  */
 constexpr uint64_t kInvalidAddress = 1ULL << kImplementedBits;
 
+/**
+ * The guest stack window in region 3: [kStackBase, kStackBase +
+ * kStackSize). It is demand-zero like the tag and OS regions (a touch
+ * allocates a zero page), so a machine pays only for the stack pages
+ * its program uses; the rest of region 3 stays unmapped, so a stack
+ * that outgrows the window faults.
+ */
+constexpr uint64_t kStackBase = regionBase(kStackRegion) + 0x10000;
+constexpr uint64_t kStackSize = 4ULL << 20;
+
 /** Tag-tracking granularity. */
 enum class Granularity : uint8_t
 {

@@ -83,7 +83,8 @@ bool
 Memory::isMapped(uint64_t addr) const
 {
     bool inBase = false;
-    return findSlot(addr >> kPageShift, inBase) != nullptr;
+    return findSlot(addr >> kPageShift, inBase) != nullptr ||
+           demandMapped(addr);
 }
 
 size_t

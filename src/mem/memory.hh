@@ -9,10 +9,11 @@
  * never touch the sidecar, so taint for normal data flows exclusively
  * through SHIFT's software-managed bitmap, exactly as in the paper.
  *
- * Regions 0 (tag space) and 4 (OS scratch) are demand-mapped: a touch
- * allocates a zero page. All other regions must be mapped explicitly
- * (by the loader / sbrk / stack setup); access to unmapped addresses
- * faults, which is what lets a speculative load manufacture a NaT.
+ * Regions 0 (tag space) and 4 (OS scratch) and the stack window
+ * [kStackBase, kStackBase + kStackSize) are demand-mapped: a touch
+ * allocates a zero page. All other addresses must be mapped explicitly
+ * (by the loader / sbrk); access to unmapped addresses faults, which
+ * is what lets a speculative load manufacture a NaT.
  *
  * Pages are reference-counted and copy-on-write. snapshot() captures
  * the current address space as an immutable page map shared by
@@ -77,7 +78,10 @@ class Memory
      */
     void map(uint64_t base, uint64_t len);
 
-    /** True when the byte at addr is backed by a page. */
+    /**
+     * True when an access to the byte at addr finds memory: a backed
+     * page, or a demand-mapped address whose first touch allocates one.
+     */
     bool isMapped(uint64_t addr) const;
 
     /**
@@ -217,6 +221,13 @@ class Memory
 
     /** Number of pages currently mapped, private or shared. */
     size_t pageCount() const;
+
+    /**
+     * Pages this Memory owns: mapped, demand-allocated or COW-copied
+     * since the last restore(). Pages still shared with the restored
+     * snapshot are not counted.
+     */
+    size_t privatePageCount() const { return pages_.size(); }
 
     /**
      * Order-independent digest of the address space: data bytes and
@@ -458,7 +469,8 @@ class Memory
     demandMapped(uint64_t addr)
     {
         unsigned region = regionOf(addr);
-        return region == kTagRegion || region == kOsRegion;
+        return region == kTagRegion || region == kOsRegion ||
+               addr - kStackBase < kStackSize;
     }
 
     // ----- page-translation cache ---------------------------------------

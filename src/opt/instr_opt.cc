@@ -1263,4 +1263,22 @@ optimizeInstrumentation(Program &program, const OptimizerOptions &options)
     return stats;
 }
 
+OptStats &
+OptStats::operator+=(const OptStats &o)
+{
+    foldsHoisted += o.foldsHoisted;
+    foldsElided += o.foldsElided;
+    checksElided += o.checksElided;
+    updatesElided += o.updatesElided;
+    relaxElided += o.relaxElided;
+    purifiesElided += o.purifiesElided;
+    checksNarrowed += o.checksNarrowed;
+    updatesNarrowed += o.updatesNarrowed;
+    instrsRemoved += o.instrsRemoved;
+    instrsAdded += o.instrsAdded;
+    sizeBefore += o.sizeBefore;
+    sizeAfter += o.sizeAfter;
+    return *this;
+}
+
 } // namespace shift

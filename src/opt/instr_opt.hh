@@ -82,6 +82,8 @@ struct OptimizerOptions
     bool deadUpdates = true;     ///< (d) overwritten-update removal
     bool cleanRelax = true;      ///< (e) NaT-cleanliness relax removal
     bool narrow = true;          ///< (f) alignment-driven narrowing
+
+    bool operator==(const OptimizerOptions &) const = default;
 };
 
 /** Static counts from one optimizer run. */
@@ -99,6 +101,11 @@ struct OptStats
     uint64_t instrsAdded = 0;    ///< static instructions inserted
     uint64_t sizeBefore = 0;     ///< static size going in
     uint64_t sizeAfter = 0;      ///< static size coming out
+
+    bool operator==(const OptStats &) const = default;
+
+    /** Field-wise sum: stats of disjoint function sets add up. */
+    OptStats &operator+=(const OptStats &o);
 };
 
 /**

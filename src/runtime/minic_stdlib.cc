@@ -5,9 +5,11 @@ namespace shift
 
 const char *const kMiniCStdlib = R"MINIC(
 // ---------------------------------------------------------------------
-// MiniC standard library ("libc"). Compiled and instrumented with the
-// application, so taint propagates through these routines via the
-// ordinary SHIFT load/store instrumentation.
+// MiniC standard library ("libc"). Instrumented like the application,
+// so taint propagates through these routines via the ordinary SHIFT
+// load/store instrumentation. Prebuilt once and linked in front of
+// every application: keep it free of globals, string literals and
+// calls to anything it does not define.
 // ---------------------------------------------------------------------
 
 long strlen(char *s) {

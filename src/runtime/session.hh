@@ -2,9 +2,9 @@
  * @file
  * Session: the top-level SHIFT API.
  *
- * A Session compiles MiniC sources (with the MiniC libc), applies the
- * selected tracking mode (none / SHIFT / software-DIFT baseline),
- * builds a machine with the simulated OS and runtime, wires taint
+ * A Session compiles MiniC sources (linked behind the prebuilt MiniC
+ * libc), applies the selected tracking mode (none / SHIFT /
+ * software-DIFT baseline), builds a machine with the simulated OS and runtime, wires taint
  * sources and the security monitor per the policy configuration, and
  * runs the program. This is the interface examples, tests and every
  * benchmark harness use.
@@ -57,7 +57,7 @@ struct SessionOptions
     InstrumentOptions instr;         ///< granularity is taken from policy
     OptimizerOptions optimize;       ///< post-instrumentation optimizer
     BaselineOptions baseline;        ///< for SoftwareDift mode
-    bool includeStdlib = true;
+    bool includeStdlib = true; ///< link the prebuilt MiniC libc in front
     uint64_t maxSteps = 2'000'000'000ULL;
 
     /**
@@ -114,7 +114,12 @@ namespace detail
  * Compile + optional speculation + instrumentation: the build-front
  * half of a Session, shared with SessionTemplate. Mutates `options`
  * (granularity and feature switches propagate into the instrumenter
- * options, exactly as Session::build always did).
+ * options, exactly as Session::build always did). With
+ * options.includeStdlib only `sources` are compiled and passed; the
+ * MiniC libc, after the same passes, comes from a process-wide memo
+ * and is spliced in front (docs/MINIC.md). The result and the stats
+ * equal those of compiling libc + sources as one program and passing
+ * the whole.
  */
 Program buildProgram(const std::vector<std::string> &sources,
                      SessionOptions &options, InstrumentStats &instrStats,

@@ -24,9 +24,6 @@ namespace shift
 namespace
 {
 
-/** Stack region layout. */
-constexpr uint64_t kStackBase = regionBase(kStackRegion) + 0x10000;
-constexpr uint64_t kStackSize = 4ULL << 20;
 constexpr uint64_t kHeapGap = 1ULL << 20;
 constexpr uint64_t kHeapMax = 1ULL << 32;
 // Cold-block demotion (kFpColdDeopts) and the call-depth limit
@@ -147,8 +144,8 @@ Machine::layout()
 
     heapBreak_ = roundUp(layout.end + kHeapGap, Memory::kPageSize);
     heapLimit_ = heapBreak_ + kHeapMax;
-
-    mem_.map(kStackBase, kStackSize);
+    // The stack window [kStackBase, kStackBase + kStackSize) needs no
+    // mapping: Memory demand-allocates its pages on first touch.
 }
 
 void

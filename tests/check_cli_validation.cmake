@@ -36,15 +36,13 @@ function(expect_usage_error regex bin)
     endif()
 endfunction()
 
-# expect_unknown_option(<binary> <args...>): the first argument is a
-# flag the tools no longer accept; the run must exit 103 with exactly
-# one stderr line naming it as an unknown option.
-function(expect_unknown_option bin flag)
-    string(REGEX REPLACE "([][+.*?^$()|\\])" "\\\\\\1" escaped "${flag}")
-    expect_usage_error("unknown option '${escaped}'" ${bin} ${flag} ${ARGN})
+# expect_one_line_error(<regex> <binary> <args...>): like
+# expect_usage_error, and stderr must be exactly one line.
+function(expect_one_line_error regex bin)
+    expect_usage_error("${regex}" ${bin} ${ARGN})
     set(failures ${failures} PARENT_SCOPE)
     execute_process(
-        COMMAND ${bin} ${flag} ${ARGN}
+        COMMAND ${bin} ${ARGN}
         RESULT_VARIABLE rc
         OUTPUT_VARIABLE out
         ERROR_VARIABLE err
@@ -53,11 +51,20 @@ function(expect_unknown_option bin flag)
     if(stripped MATCHES "\n")
         get_filename_component(name ${bin} NAME)
         message(SEND_ERROR
-            "${name} ${flag} ${ARGN}: expected a one-line error\n"
+            "${name} ${ARGN}: expected a one-line error\n"
             "stderr: ${err}")
         math(EXPR failures "${failures}+1")
         set(failures ${failures} PARENT_SCOPE)
     endif()
+endfunction()
+
+# expect_unknown_option(<binary> <args...>): the first argument is a
+# flag the tools no longer accept; the run must exit 103 with exactly
+# one stderr line naming it as an unknown option.
+function(expect_unknown_option bin flag)
+    string(REGEX REPLACE "([][+.*?^$()|\\])" "\\\\\\1" escaped "${flag}")
+    expect_one_line_error("unknown option '${escaped}'" ${bin} ${flag} ${ARGN})
+    set(failures ${failures} PARENT_SCOPE)
 endfunction()
 
 # --- shiftd: worker/clone counts, intervals ---------------------------
@@ -105,6 +112,20 @@ expect_usage_error("expected a file path"
     ${SHIFTC} --profile= prog.mc)
 expect_usage_error("expected a file path"
     ${SHIFTC} --jitdump= prog.mc)
+
+# --- compile errors: lines count from the top of the user's file (the
+# libc is compiled separately, so it never shifts them), and
+# redefining a libc function is a one-line duplicate-function error
+set(missing_semicolon "${CMAKE_CURRENT_BINARY_DIR}/cli_missing_semicolon.mc")
+file(WRITE ${missing_semicolon}
+    "int main() {\n  long x = 1\n  return (int)x; }\n")
+expect_one_line_error("parse error at line 2: expected ';'"
+    ${SHIFTC} ${missing_semicolon})
+set(libc_redefined "${CMAKE_CURRENT_BINARY_DIR}/cli_libc_redefined.mc")
+file(WRITE ${libc_redefined}
+    "int main() { return 0; }\nlong strlen(char *s) { return 0; }\n")
+expect_one_line_error("line 2: duplicate function 'strlen'"
+    ${SHIFTC} ${libc_redefined})
 
 # --- removed tier knobs: the async ring/batch/placement and the JIT
 # compile-mode flags are gone, so every spelling is an unknown option

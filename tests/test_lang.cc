@@ -8,6 +8,8 @@
 
 #include "lang/compiler.hh"
 #include "lang/lexer.hh"
+#include "runtime/minic_stdlib.hh"
+#include "runtime/session.hh"
 #include "sim/machine.hh"
 #include "support/logging.hh"
 
@@ -400,6 +402,90 @@ TEST(Compile, ErrorsAreFatal)
                  FatalError); // no main
     EXPECT_THROW(minic::compileProgram(
                      "int main() { break; return 0; }"),
+                 FatalError);
+}
+
+/** The FatalError message a build of `source` ends in, or "". */
+template <typename Build>
+std::string
+buildError(Build build)
+{
+    try {
+        build();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return {};
+}
+
+TEST(Compile, ErrorLinesCountFromTheApplicationSource)
+{
+    // The libc is compiled separately, so a Session's compile errors
+    // report lines of the user's own file; a missing ';' is reported
+    // on the line it is missing from.
+    const char *missingSemicolon =
+        "int main() {\n  long x = 1\n  return (int)x; }\n";
+    std::string err = buildError([&] { Session s(missingSemicolon, {}); });
+    EXPECT_NE(err.find("parse error at line 2: expected ';'"),
+              std::string::npos) << err;
+
+    const char *badName = "int main() {\n\n  return nope;\n}\n";
+    err = buildError([&] { Session s(badName, {}); });
+    EXPECT_NE(err.find("line 3: unknown identifier 'nope'"),
+              std::string::npos) << err;
+
+    // Without the libc the sources are all there is: same lines.
+    SessionOptions bare;
+    bare.includeStdlib = false;
+    err = buildError([&] { Session s(missingSemicolon, bare); });
+    EXPECT_NE(err.find("parse error at line 2"), std::string::npos) << err;
+}
+
+TEST(Compile, RedefiningALibcFunctionIsADuplicate)
+{
+    const char *src = "int main() { return 0; }\n"
+                      "long strlen(char *s) { return 0; }\n";
+    std::string err = buildError([&] { Session s(src, {}); });
+    EXPECT_NE(err.find("line 2: duplicate function 'strlen'"),
+              std::string::npos) << err;
+    // The monolithic compile rejects it too (its line counts the libc).
+    err = buildError([&] { minic::compileProgram(std::vector<std::string>{kMiniCStdlib, src}); });
+    EXPECT_NE(err.find("duplicate function 'strlen'"), std::string::npos)
+        << err;
+}
+
+TEST(Compile, ApplicationsLinkBehindAPrebuiltLibrary)
+{
+    minic::Library lib("long twice(long x) { return x + x; }\n"
+                       "long quad(long x) { return twice(twice(x)); }\n");
+    ASSERT_EQ(lib.functions().size(), 2u);
+    EXPECT_EQ(lib.indexOf("quad"), 1);
+    EXPECT_FALSE(lib.indexOf("main"));
+
+    // The application part is numbered behind the library's functions:
+    // a function pointer to its own function points past them.
+    const char *app = "long id(long x) { return x; }\n"
+                      "int main() { long f = id; return (int)f; }\n";
+    Program part = minic::compileApplication(lib, {app});
+    ASSERT_EQ(part.functions.size(), 2u);
+    Program whole = minic::compileProgram(std::vector<std::string>{
+        "long twice(long x) { return x + x; }\n"
+        "long quad(long x) { return twice(twice(x)); }\n",
+        app});
+    for (size_t i = 0; i < part.functions.size(); ++i)
+        EXPECT_EQ(part.functions[i].code, whole.functions[i + 2].code);
+}
+
+TEST(Compile, PrebuiltLibrariesMustBeSelfContained)
+{
+    EXPECT_THROW(minic::Library("long g; long f() { return g; }"),
+                 FatalError);
+    EXPECT_THROW(minic::Library("char *f() { return \"s\"; }"),
+                 FatalError);
+    EXPECT_THROW(minic::Library("long f() { return print_num(1); }"),
+                 FatalError);
+    EXPECT_THROW(minic::Library("long f() { return 0; }"
+                                "long g() { long p = f; return p; }"),
                  FatalError);
 }
 

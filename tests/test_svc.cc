@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -190,13 +191,36 @@ TEST(SessionTemplate, SnapshotSharesPagesAndClonesCowLittle)
     auto clone = tmpl.instantiate();
     size_t shared = tmpl.snapshotPages();
     EXPECT_GT(shared, 0u);
-    EXPECT_EQ(clone->machine().memory().cowCopies(), 0u);
+    Memory &mem = clone->machine().memory();
+    EXPECT_EQ(mem.cowCopies(), 0u);
+    EXPECT_EQ(mem.privatePageCount(), 0u);
+    EXPECT_EQ(mem.pageCount(), shared);
+
+    std::set<uint64_t> copied;
+    mem.setCowHook([&](uint64_t addr) {
+        copied.insert(addr >> Memory::kPageShift);
+    });
     clone->run();
-    // The run dirtied only a sliver of the snapshot (stack, the
-    // counter page, some tag pages) — clone cost is O(dirtied pages).
-    uint64_t dirtied = clone->machine().memory().cowCopies();
-    EXPECT_GT(dirtied, 0u);
-    EXPECT_LT(dirtied, shared / 2);
+
+    // Clone cost is O(snapshot pages written): the one snapshot page
+    // the run writes (the counter's) is copied once...
+    uint64_t dirtied = mem.cowCopies();
+    EXPECT_EQ(dirtied, 1u);
+    EXPECT_EQ(dirtied, copied.size());
+    EXPECT_TRUE(copied.count(clone->machine().globalAddr("counter") >>
+                             Memory::kPageShift));
+    // ...and exactly the private pages that hide a snapshot page are
+    // copies. The rest — the stack frames and tag pages the run
+    // touched first — are demand-zero allocations, not copies.
+    size_t demandZero = mem.pageCount() - shared;
+    EXPECT_GT(demandZero, 0u);
+    EXPECT_EQ(dirtied, mem.privatePageCount() - demandZero);
+    for (uint64_t key : copied) {
+        uint64_t addr = key << Memory::kPageShift;
+        EXPECT_FALSE(addr - kStackBase < kStackSize)
+            << "stack page 0x" << std::hex << addr
+            << " was in the snapshot";
+    }
 }
 
 TEST(SessionTemplate, ConcurrentClonesComputeIdenticalResults)
